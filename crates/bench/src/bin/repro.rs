@@ -385,8 +385,7 @@ fn trace_analyze_cmd(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let jsonl = trace_analyze::render_recordings(&decoded.runs);
-            match trace_analyze::analyze(&jsonl) {
+            match trace_analyze::analyze(&decoded.runs) {
                 Ok(analysis) => analysis.report(),
                 Err(e) => {
                     eprintln!("{e}");
@@ -417,7 +416,7 @@ fn trace_analyze_cmd(args: &[String]) -> ExitCode {
                 }
             }
         } else {
-            match trace_analyze::analyze(&jsonl) {
+            match trace_analyze::analyze_jsonl(&jsonl) {
                 Ok(analysis) => analysis.report(),
                 Err(e) => {
                     eprintln!("{e}");
@@ -481,7 +480,7 @@ fn trace_convert_cmd(args: &[String]) -> ExitCode {
                 }
             };
             match mcd_trace::read_mcdt(&bytes) {
-                Ok(decoded) => trace_analyze::render_recordings(&decoded.runs).into_bytes(),
+                Ok(decoded) => mcd_trace::render_jsonl(&decoded.runs).into_bytes(),
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
@@ -978,7 +977,7 @@ fn main() -> ExitCode {
         let mut mcdt: Option<Vec<u8>> = None;
         if need_jsonl {
             let start = Instant::now();
-            let rendered = trace_analyze::render_recordings(recs);
+            let rendered = mcd_trace::render_jsonl(recs);
             recorder.jsonl_encode_ns_per_event = per_event_ns(start.elapsed(), recorder.events);
             recorder.jsonl_bytes = rendered.len() as u64;
             jsonl = Some(rendered);

@@ -1306,7 +1306,7 @@ mod tests {
         let tel = rs.telemetry().expect("telemetry enabled");
         let mut reactions = 0;
         for i in 0..3 {
-            // The sink replays the engine's onset rule, so the
+            // The sink and the engine share one OnsetTracker rule, so the
             // distribution's count and sum equal the always-on counters
             // — not just approximately, bit for bit.
             let snap = tel.reaction_ps[i].snapshot();

@@ -1,176 +1,45 @@
-//! Offline trace analysis: rendering and consuming `--trace-out` JSONL.
+//! Offline trace analysis: `repro trace analyze FILE`.
 //!
-//! `repro --trace-out FILE` writes one controller/machine event per line
-//! (see [`render_traces`]); `repro trace analyze FILE` reads those lines
-//! back and reconstructs what no single counter shows — deviation
-//! episodes, the *distribution* of reaction times (the paper's central
-//! quantity, HPCA 2005 §4–5), relay-reset reasons, queue-occupancy
-//! distributions, and an ASCII per-domain timeline of the busiest run.
+//! [`analyze`] takes recorded runs — decoded from `.mcdt`, or parsed
+//! from `--trace-out` JSONL by [`analyze_jsonl`] — and reconstructs what
+//! no single counter shows: deviation episodes, the *distribution* of
+//! reaction times (the paper's central quantity, HPCA 2005 §4–5),
+//! relay-reset reasons, queue-occupancy distributions, and an ASCII
+//! per-domain timeline of the busiest run.
 //!
-//! The report is deterministic: it is a pure function of the event
-//! lines, which the harness emits sorted by run label whatever the
-//! worker count, so `repro ... --jobs 1/2/8 --trace-out` feed
-//! byte-identical analyses. Reaction times are reconstructed with
-//! exactly the engine's onset rule (`observe_ctrl_event` /
-//! `note_freq_step` in `mcd-sim`), so the analyzer's per-domain mean
-//! equals the always-on counters' `mean_reaction_ns` to the picosecond.
+//! The report is deterministic: runs are grouped by label and visited in
+//! label order, whatever order the file holds them in, so `repro ...
+//! --jobs 1/2/8 --trace-out` feed byte-identical analyses. Reaction
+//! times and occupancy are folded through the engine's own
+//! [`TelemetrySink`], whose reaction times come from
+//! [`mcd_sim::OnsetTracker`], so the analyzer's per-domain mean equals
+//! the always-on counters' `mean_reaction_ns` to the picosecond.
 
 use std::collections::BTreeMap;
 
-use mcd_sim::TraceEvent;
-use mcd_telemetry::{Histogram, HistogramSnapshot};
-use mcd_trace::Episode;
+use mcd_sim::{
+    CtrlEvent, DomainId, NullSink, OnsetEffect, SimTelemetry, StepDir, TelemetrySink, TraceEvent,
+};
+use mcd_telemetry::HistogramSnapshot;
+use mcd_trace::{Episode, RunRecording};
 
 use crate::error::RunError;
 use crate::runner::ControllerActivity;
 use crate::table::Table;
 
-/// Escapes a run label for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders collected event traces as JSON lines: one event per line,
-/// each tagged with the run label that produced it.
-pub fn render_traces(traces: &[(String, Vec<TraceEvent>)]) -> String {
-    let mut out = String::new();
-    for (label, events) in traces {
-        render_run(&mut out, label, events);
-    }
-    out
-}
-
-/// Renders drained [`mcd_trace::RunRecording`]s byte-identically to what
-/// [`render_traces`] produces for their (label, events) pairs — the
-/// recorder's anchors and replay specs have no JSONL representation.
-pub fn render_recordings(recordings: &[mcd_trace::RunRecording]) -> String {
-    let mut out = String::new();
-    for r in recordings {
-        render_run(&mut out, &r.label, &r.events);
-    }
-    out
-}
-
-fn render_run(out: &mut String, label: &str, events: &[TraceEvent]) {
-    let run = json_escape(label);
-    for ev in events {
-        let body = ev.to_json();
-        // Splice the run tag into the event object: {"run":"...",...}.
-        out.push_str(&format!("{{\"run\": \"{run}\", {}\n", &body[1..]));
-    }
-}
-
 /// The backend domains in report order, as serialized in events.
 const DOMAINS: [&str; 3] = ControllerActivity::DOMAINS;
 
-fn domain_index(name: &str) -> Option<usize> {
-    DOMAINS.iter().position(|&d| d == name)
-}
-
-fn signal_index(name: &str) -> Option<usize> {
-    match name {
-        "occupancy" => Some(0),
-        "delta" => Some(1),
-        _ => None,
-    }
-}
-
-/// One parsed trace line — only the fields the analysis needs.
-struct Line {
-    run: String,
-    domain: usize,
-    t_ps: u64,
-    kind: Kind,
-}
-
-enum Kind {
-    WindowEnter { signal: usize },
-    WindowExit { signal: usize },
-    RelayArm,
-    RelayFire,
-    RelayReset { why: String },
-    FreqStep { up: bool },
-    QueueHistogram { counts: Vec<u64> },
-}
-
-/// Extracts the `"counts":[...]` array (the one non-flat field in the
-/// trace schema).
-fn counts_field(json: &str) -> Option<Vec<u64>> {
-    let start = json.find("\"counts\":")? + "\"counts\":".len();
-    let rest = json[start..].trim_start().strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|s| s.trim().parse().ok()).collect()
-}
-
-fn parse_line(line: &str, line_no: usize) -> Result<Line, RunError> {
-    use crate::checkpoint::{str_field, u64_field};
-    let err = |what: &str| {
-        RunError::Config(format!(
-            "trace line {line_no}: {what}: {}",
-            line.chars().take(120).collect::<String>()
-        ))
-    };
-    let run = str_field(line, "run").ok_or_else(|| err("no run label"))?;
-    let domain = str_field(line, "domain")
-        .and_then(|d| domain_index(&d))
-        .ok_or_else(|| err("no backend domain"))?;
-    let t_ps = u64_field(line, "t_ps").ok_or_else(|| err("no t_ps"))?;
-    let kind = str_field(line, "kind").ok_or_else(|| err("no kind"))?;
-    let signal = || {
-        str_field(line, "signal")
-            .and_then(|s| signal_index(&s))
-            .ok_or_else(|| err("no signal"))
-    };
-    let kind = match kind.as_str() {
-        "window_enter" => Kind::WindowEnter { signal: signal()? },
-        "window_exit" => Kind::WindowExit { signal: signal()? },
-        "relay_arm" => Kind::RelayArm,
-        "relay_fire" => Kind::RelayFire,
-        "relay_reset" => Kind::RelayReset {
-            why: str_field(line, "why").ok_or_else(|| err("no reset reason"))?,
-        },
-        "freq_step" => Kind::FreqStep {
-            up: str_field(line, "dir").ok_or_else(|| err("no step direction"))? == "up",
-        },
-        "queue_histogram" => Kind::QueueHistogram {
-            counts: counts_field(line).ok_or_else(|| err("bad counts array"))?,
-        },
-        other => return Err(err(&format!("unknown event kind {other:?}"))),
-    };
-    Ok(Line {
-        run,
-        domain,
-        t_ps,
-        kind,
-    })
-}
-
-/// Per-domain aggregates across every run in the trace.
-#[derive(Default)]
+/// Per-domain counters across every run in the trace; the reaction and
+/// occupancy distributions live in [`TraceAnalysis`] snapshots.
+#[derive(Debug, Default)]
 struct DomainAgg {
-    reaction: Histogram,
-    reaction_sum_ps: u64,
     arms: u64,
     fires: u64,
-    resets: BTreeMap<String, u64>,
+    resets: BTreeMap<&'static str, u64>,
     steps_up: u64,
     steps_down: u64,
-    episodes_reacted: u64,
     episodes_abandoned: u64,
-    occupancy: Histogram,
 }
 
 /// Everything the analyzer reconstructs from one trace file. Produced
@@ -179,26 +48,13 @@ struct DomainAgg {
 pub struct TraceAnalysis {
     events: u64,
     runs: u64,
-    domains: [DomainAggOut; 3],
+    domains: [DomainAgg; 3],
+    reaction: [HistogramSnapshot; 3],
+    occupancy: [HistogramSnapshot; 3],
     timeline: Option<Timeline>,
     /// Set when the file's unterminated final line was dropped as a
     /// mid-write truncation; rendered as a partial-analysis note.
     truncation: Option<String>,
-}
-
-/// Public per-domain view (snapshots instead of live histograms).
-#[derive(Debug)]
-struct DomainAggOut {
-    reaction: HistogramSnapshot,
-    reaction_sum_ps: u64,
-    arms: u64,
-    fires: u64,
-    resets: BTreeMap<String, u64>,
-    steps_up: u64,
-    steps_down: u64,
-    episodes_reacted: u64,
-    episodes_abandoned: u64,
-    occupancy: HistogramSnapshot,
 }
 
 #[derive(Debug)]
@@ -228,12 +84,19 @@ impl TraceAnalysis {
     /// `None` if the trace shows no completed reaction — defined
     /// exactly like [`ControllerActivity::mean_reaction_time_ns`].
     pub fn mean_reaction_time_ns(&self, idx: usize) -> Option<f64> {
-        let d = &self.domains[idx];
-        if d.reaction.count() == 0 {
-            None
-        } else {
-            Some(d.reaction_sum_ps as f64 / d.reaction.count() as f64 / 1000.0)
-        }
+        self.reaction[idx].mean().map(|ps| ps / 1000.0)
+    }
+
+    /// The reaction-time distribution of backend domain `idx`, in
+    /// picoseconds: one sample per reacted episode.
+    pub fn reaction_ps(&self, idx: usize) -> &HistogramSnapshot {
+        &self.reaction[idx]
+    }
+
+    /// Episodes of backend domain `idx` abandoned back inside their
+    /// windows before any step answered them.
+    pub fn episodes_abandoned(&self, idx: usize) -> u64 {
+        self.domains[idx].episodes_abandoned
     }
 
     /// Renders the deterministic report.
@@ -251,34 +114,27 @@ impl TraceAnalysis {
         let ns = |ps: u64| format!("{:.1} ns", ps as f64 / 1000.0);
         let mut t = Table::new(["domain", "reactions", "mean", "p50", "p99", "max"]);
         for (i, name) in DOMAINS.iter().enumerate() {
-            let d = &self.domains[i];
-            let (mean, p50, p99, max) = if d.reaction.count() == 0 {
+            let d = &self.reaction[i];
+            let (mean, p50, p99, max) = if d.count() == 0 {
                 ("-".into(), "-".into(), "-".into(), "-".to_string())
             } else {
                 (
                     format!("{:.1} ns", self.mean_reaction_time_ns(i).unwrap_or(0.0)),
-                    ns(d.reaction.p50()),
-                    ns(d.reaction.p99()),
-                    ns(d.reaction.max()),
+                    ns(d.p50()),
+                    ns(d.p99()),
+                    ns(d.max()),
                 )
             };
-            t.row([
-                name.to_string(),
-                d.reaction.count().to_string(),
-                mean,
-                p50,
-                p99,
-                max,
-            ]);
+            t.row([name.to_string(), d.count().to_string(), mean, p50, p99, max]);
         }
         out.push_str("Reaction time (deviation onset -> frequency step):\n\n");
         out.push_str(&t.render());
 
-        let mut reasons: Vec<String> = Vec::new();
+        let mut reasons: Vec<&str> = Vec::new();
         for d in &self.domains {
             for why in d.resets.keys() {
                 if !reasons.contains(why) {
-                    reasons.push(why.clone());
+                    reasons.push(why);
                 }
             }
         }
@@ -289,7 +145,7 @@ impl TraceAnalysis {
             "fires".to_string(),
             "resets".to_string(),
         ];
-        headers.extend(reasons.iter().cloned());
+        headers.extend(reasons.iter().map(|why| why.to_string()));
         let mut t = Table::new(headers);
         for (i, name) in DOMAINS.iter().enumerate() {
             let d = &self.domains[i];
@@ -317,10 +173,11 @@ impl TraceAnalysis {
         ]);
         for (i, name) in DOMAINS.iter().enumerate() {
             let d = &self.domains[i];
+            let reacted = self.reaction[i].count();
             t.row([
                 name.to_string(),
-                (d.episodes_reacted + d.episodes_abandoned).to_string(),
-                d.episodes_reacted.to_string(),
+                (reacted + d.episodes_abandoned).to_string(),
+                reacted.to_string(),
                 d.episodes_abandoned.to_string(),
                 d.steps_up.to_string(),
                 d.steps_down.to_string(),
@@ -331,23 +188,17 @@ impl TraceAnalysis {
 
         let mut t = Table::new(["domain", "samples", "p50", "p99", "max"]);
         for (i, name) in DOMAINS.iter().enumerate() {
-            let d = &self.domains[i];
-            let (p50, p99, max) = if d.occupancy.count() == 0 {
+            let d = &self.occupancy[i];
+            let (p50, p99, max) = if d.count() == 0 {
                 ("-".into(), "-".into(), "-".to_string())
             } else {
                 (
-                    d.occupancy.p50().to_string(),
-                    d.occupancy.p99().to_string(),
-                    d.occupancy.max().to_string(),
+                    d.p50().to_string(),
+                    d.p99().to_string(),
+                    d.max().to_string(),
                 )
             };
-            t.row([
-                name.to_string(),
-                d.occupancy.count().to_string(),
-                p50,
-                p99,
-                max,
-            ]);
+            t.row([name.to_string(), d.count().to_string(), p50, p99, max]);
         }
         out.push_str("\nQueue occupancy (entries, per controller sample):\n\n");
         out.push_str(&t.render());
@@ -370,168 +221,131 @@ impl TraceAnalysis {
 /// Analyzes `--trace-out` JSON lines. Blank lines are skipped; any
 /// malformed *complete* line is a typed error naming its line number.
 ///
-/// Two degraded inputs get distinct treatment rather than a silent
-/// mis-summary: a file with no events at all is a typed error, and a
-/// file whose final line is both unterminated (no trailing newline) and
-/// unparseable — the signature of a writer killed mid-line — drops that
-/// line and flags the report as a partial analysis.
-pub fn analyze(jsonl: &str) -> Result<TraceAnalysis, RunError> {
-    if jsonl.chars().all(char::is_whitespace) {
+/// A file whose final line is both unterminated (no trailing newline)
+/// and unparseable — the signature of a writer killed mid-line — drops
+/// that line and flags the report as a partial analysis rather than
+/// failing or silently mis-summarizing.
+pub fn analyze_jsonl(text: &str) -> Result<TraceAnalysis, RunError> {
+    let parse =
+        |t: &str| mcd_trace::parse_jsonl(t).map_err(|e| RunError::Config(format!("trace {}", e.0)));
+    let (recordings, truncation) = match parse(text) {
+        Ok(recordings) => (recordings, None),
+        Err(e) if !text.ends_with('\n') => {
+            let last = text.rfind('\n').map_or(0, |i| i + 1);
+            let recordings = parse(&text[..last]).map_err(|_| e)?;
+            let note = format!(
+                "dropped unterminated final line {} ({} bytes, no trailing \
+                 newline); the trace was likely cut off mid-write",
+                text.lines().count(),
+                text.len() - last,
+            );
+            (recordings, Some(note))
+        }
+        Err(e) => return Err(e),
+    };
+    let mut analysis = analyze(&recordings)?;
+    analysis.truncation = truncation;
+    Ok(analysis)
+}
+
+/// Analyzes recorded runs. A trace with no events is a typed error, as
+/// is an event of the front-end domain, which no controller drives.
+pub fn analyze(recordings: &[RunRecording]) -> Result<TraceAnalysis, RunError> {
+    // Group events by run label, preserving each run's emission order;
+    // the BTreeMap makes the analysis independent of run order.
+    let mut by_run: BTreeMap<&str, Vec<&TraceEvent>> = BTreeMap::new();
+    for r in recordings {
+        by_run.entry(&r.label).or_default().extend(&r.events);
+    }
+    let events: usize = by_run.values().map(Vec::len).sum();
+    if events == 0 {
         return Err(RunError::Config(
             "trace file is empty: no events to analyze (was the run given --trace-out?)".into(),
         ));
     }
-    // Group lines by run label, preserving each run's in-file (time)
-    // order. The BTreeMap makes the analysis independent of run order
-    // in the file; within a run the events come from one simulation and
-    // are already time-ordered.
-    let terminated = jsonl.ends_with('\n');
-    let total_lines = jsonl.lines().count();
-    let mut by_run: BTreeMap<String, Vec<Line>> = BTreeMap::new();
-    let mut events = 0u64;
-    let mut truncation = None;
-    for (idx, raw) in jsonl.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        match parse_line(raw, idx + 1) {
-            Ok(line) => {
-                events += 1;
-                by_run.entry(line.run.clone()).or_default().push(line);
-            }
-            Err(e) => {
-                if idx + 1 == total_lines && !terminated {
-                    truncation = Some(format!(
-                        "dropped unterminated final line {} ({} bytes, no trailing \
-                         newline); the trace was likely cut off mid-write",
-                        idx + 1,
-                        raw.len(),
-                    ));
-                } else {
-                    return Err(e);
-                }
-            }
-        }
-    }
-    if events == 0 {
-        return Err(RunError::Config(
-            "trace file contains no parseable events".into(),
-        ));
-    }
 
+    let telemetry = SimTelemetry::new();
     let mut aggs: [DomainAgg; 3] = Default::default();
-    let mut busiest: Option<(usize, &String)> = None;
-    for (run, lines) in &by_run {
+    let mut busiest: Option<(&str, &[&TraceEvent])> = None;
+    for (&run, evs) in &by_run {
         // More events wins; ties go to the lexicographically smaller
         // label (BTreeMap iteration order makes `>` do exactly that).
-        if busiest.map(|(n, _)| lines.len() > n).unwrap_or(true) {
-            busiest = Some((lines.len(), run));
+        if busiest.is_none_or(|(_, b)| evs.len() > b.len()) {
+            busiest = Some((run, evs));
         }
-        // Replay the engine's onset bookkeeping per domain.
-        let mut onsets: [[Option<u64>; 2]; 3] = [[None; 2]; 3];
-        let mut seen_occupancy: [Vec<u64>; 3] = Default::default();
-        for line in lines {
-            let bi = line.domain;
-            let agg = &mut aggs[bi];
-            match &line.kind {
-                Kind::WindowEnter { signal } => {
-                    let slot = &mut onsets[bi][*signal];
-                    if slot.is_none() {
-                        *slot = Some(line.t_ps);
+        let mut fold = TelemetrySink::new(&telemetry, NullSink);
+        for ev in evs {
+            if ev.domain() == DomainId::FrontEnd {
+                return Err(RunError::Config(format!(
+                    "trace run {run:?}: no backend domain: front-end event at {} ps",
+                    ev.at().as_ps()
+                )));
+            }
+            let agg = &mut aggs[ev.domain().backend_index()];
+            if fold.observe(ev) == OnsetEffect::Abandoned {
+                agg.episodes_abandoned += 1;
+            }
+            match ev {
+                TraceEvent::Controller { event, .. } => match event {
+                    CtrlEvent::RelayArm { .. } => agg.arms += 1,
+                    CtrlEvent::RelayFire { .. } => agg.fires += 1,
+                    CtrlEvent::RelayReset { why, .. } => {
+                        *agg.resets.entry(why.label()).or_insert(0) += 1;
                     }
-                }
-                Kind::WindowExit { signal } => {
-                    let had_onset = onsets[bi].iter().any(Option::is_some);
-                    onsets[bi][*signal] = None;
-                    if had_onset && onsets[bi].iter().all(Option::is_none) {
-                        agg.episodes_abandoned += 1;
-                    }
-                }
-                Kind::RelayArm => agg.arms += 1,
-                Kind::RelayFire => agg.fires += 1,
-                Kind::RelayReset { why } => {
-                    *agg.resets.entry(why.clone()).or_insert(0) += 1;
-                }
-                Kind::FreqStep { up } => {
-                    if *up {
+                    CtrlEvent::WindowEnter { .. } | CtrlEvent::WindowExit { .. } => {}
+                },
+                TraceEvent::FreqStep { .. } => {
+                    if ev.step_dir() == Some(StepDir::Up) {
                         agg.steps_up += 1;
                     } else {
                         agg.steps_down += 1;
                     }
-                    let onset = match (onsets[bi][0], onsets[bi][1]) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    if let Some(on) = onset {
-                        let dt = line.t_ps - on;
-                        agg.reaction.record(dt);
-                        agg.reaction_sum_ps += dt;
-                        agg.episodes_reacted += 1;
-                        onsets[bi] = [None, None];
-                    }
                 }
-                Kind::QueueHistogram { counts } => {
-                    let seen = &mut seen_occupancy[bi];
-                    seen.resize(counts.len().max(seen.len()), 0);
-                    for (occ, (&now, prev)) in counts.iter().zip(seen.iter_mut()).enumerate() {
-                        let delta = now.saturating_sub(*prev);
-                        if delta > 0 {
-                            agg.occupancy.record_n(occ as u64, delta);
-                        }
-                        *prev = now;
-                    }
-                }
+                TraceEvent::QueueHistogram { .. } => {}
             }
         }
     }
 
-    let timeline = busiest.map(|(_, run)| {
-        let lines = &by_run[run];
-        let span_ps = lines.iter().map(|l| l.t_ps).max().unwrap_or(0);
+    let timeline = busiest.map(|(run, evs)| {
+        let span_ps = evs.iter().map(|e| e.at().as_ps()).max().unwrap_or(0);
         let mut rows: [Vec<char>; 3] = std::array::from_fn(|_| vec!['.'; TIMELINE_BINS]);
-        for line in lines {
-            let glyph = match &line.kind {
-                Kind::FreqStep { .. } => 'S',
-                Kind::RelayFire => 'F',
-                Kind::RelayArm => 'A',
-                Kind::WindowEnter { .. } => '^',
-                Kind::WindowExit { .. } => 'v',
-                _ => continue,
+        for ev in evs {
+            let glyph = match ev {
+                TraceEvent::FreqStep { .. } => 'S',
+                TraceEvent::Controller { event, .. } => match event {
+                    CtrlEvent::RelayFire { .. } => 'F',
+                    CtrlEvent::RelayArm { .. } => 'A',
+                    CtrlEvent::WindowEnter { .. } => '^',
+                    CtrlEvent::WindowExit { .. } => 'v',
+                    CtrlEvent::RelayReset { .. } => continue,
+                },
+                TraceEvent::QueueHistogram { .. } => continue,
             };
             let bin = if span_ps == 0 {
                 0
             } else {
-                ((line.t_ps as u128 * (TIMELINE_BINS as u128 - 1)) / span_ps as u128) as usize
+                ((ev.at().as_ps() as u128 * (TIMELINE_BINS as u128 - 1)) / span_ps as u128) as usize
             };
-            let slot = &mut rows[line.domain][bin];
+            let slot = &mut rows[ev.domain().backend_index()][bin];
             if glyph_priority(glyph) > glyph_priority(*slot) {
                 *slot = glyph;
             }
         }
         Timeline {
-            run: run.clone(),
+            run: run.to_string(),
             span_ps,
             rows: rows.map(|r| r.into_iter().collect()),
         }
     });
 
     Ok(TraceAnalysis {
-        events,
-        truncation,
+        events: events as u64,
         runs: by_run.len() as u64,
-        domains: aggs.map(|a| DomainAggOut {
-            reaction: a.reaction.snapshot(),
-            reaction_sum_ps: a.reaction_sum_ps,
-            arms: a.arms,
-            fires: a.fires,
-            resets: a.resets,
-            steps_up: a.steps_up,
-            steps_down: a.steps_down,
-            episodes_reacted: a.episodes_reacted,
-            episodes_abandoned: a.episodes_abandoned,
-            occupancy: a.occupancy.snapshot(),
-        }),
+        domains: aggs,
+        reaction: std::array::from_fn(|i| telemetry.reaction_ps[i].snapshot()),
+        occupancy: std::array::from_fn(|i| telemetry.occupancy[i].snapshot()),
         timeline,
+        truncation: None,
     })
 }
 
@@ -639,9 +453,53 @@ pub fn episodes_report(runs: &[(String, Vec<Episode>)], worst: usize) -> String 
 mod tests {
     use super::*;
     use mcd_power::{OpIndex, TimePs};
-    use mcd_sim::{CtrlEvent, DomainId, SignalKind, StepDir};
+    use mcd_sim::SignalKind;
+    use mcd_trace::{catalog_episodes, parse_jsonl, read_mcdt, render_jsonl, write_mcdt};
 
-    fn sample_trace() -> String {
+    fn recording(label: &str, events: Vec<TraceEvent>) -> RunRecording {
+        RunRecording {
+            label: label.to_string(),
+            spec: None,
+            events,
+            anchors: Vec::new(),
+        }
+    }
+
+    fn enter(domain: DomainId, at_ns: u64) -> TraceEvent {
+        TraceEvent::Controller {
+            domain,
+            event: CtrlEvent::WindowEnter {
+                at: TimePs::from_ns(at_ns),
+                signal: SignalKind::Occupancy,
+                value: 3.0,
+                occupancy: 11,
+                dir: StepDir::Up,
+            },
+        }
+    }
+
+    fn step(domain: DomainId, at_ns: u64) -> TraceEvent {
+        TraceEvent::FreqStep {
+            at: TimePs::from_ns(at_ns),
+            domain,
+            from: OpIndex(4),
+            to: OpIndex(3),
+            from_mhz: 257.5,
+            to_mhz: 255.0,
+            from_mv: 652.0,
+            to_mv: 650.0,
+        }
+    }
+
+    /// Analyzes `jsonl` directly and through a `.mcdt` file converted
+    /// from it, as `repro trace analyze` would read either file.
+    fn analyze_both_forms(jsonl: &str) -> [Result<TraceAnalysis, RunError>; 2] {
+        let recordings = parse_jsonl(jsonl).expect("well-formed lines");
+        let decoded = read_mcdt(&write_mcdt(&recordings)).expect("own bytes decode");
+        [analyze_jsonl(jsonl), analyze(&decoded.runs)]
+    }
+
+    fn sample() -> Vec<RunRecording> {
         let events = vec![
             TraceEvent::Controller {
                 domain: DomainId::Int,
@@ -706,36 +564,39 @@ mod tests {
                 counts: vec![1, 2, 1],
             },
         ];
-        render_traces(&[("bench|adaptive|ops=1".to_string(), events)])
+        vec![recording("bench|adaptive|ops=1", events)]
+    }
+
+    fn sample_trace() -> String {
+        render_jsonl(&sample())
     }
 
     #[test]
     fn reconstructs_reactions_episodes_and_occupancy() {
-        let analysis = analyze(&sample_trace()).expect("valid trace");
+        let analysis = analyze(&sample()).expect("valid trace");
         assert_eq!(analysis.events, 7);
         assert_eq!(analysis.runs, 1);
         // INT: one reacted episode, 200ns reaction.
-        assert_eq!(analysis.domains[0].reaction.count(), 1);
+        assert_eq!(analysis.reaction[0].count(), 1);
         assert_eq!(
             analysis.mean_reaction_time_ns(0),
             Some(200.0),
             "onset at 100ns, step at 300ns"
         );
-        assert_eq!(analysis.domains[0].episodes_reacted, 1);
         assert_eq!(analysis.domains[0].arms, 1);
         assert_eq!(analysis.domains[0].fires, 1);
         // FP: one abandoned episode, no reaction.
         assert_eq!(analysis.domains[1].episodes_abandoned, 1);
         assert_eq!(analysis.mean_reaction_time_ns(1), None);
         // LS: occupancy histogram from the cumulative snapshot.
-        assert_eq!(analysis.domains[2].occupancy.count(), 4);
-        assert_eq!(analysis.domains[2].occupancy.max(), 2);
+        assert_eq!(analysis.occupancy[2].count(), 4);
+        assert_eq!(analysis.occupancy[2].max(), 2);
     }
 
     #[test]
     fn report_is_deterministic_and_complete() {
-        let a = analyze(&sample_trace()).expect("valid").report();
-        let b = analyze(&sample_trace()).expect("valid").report();
+        let a = analyze(&sample()).expect("valid").report();
+        let b = analyze_jsonl(&sample_trace()).expect("valid").report();
         assert_eq!(a, b);
         for section in [
             "Reaction time",
@@ -751,42 +612,54 @@ mod tests {
 
     #[test]
     fn run_order_in_the_file_does_not_matter() {
-        let step = |domain| TraceEvent::FreqStep {
-            at: TimePs::from_ns(500),
-            domain,
-            from: OpIndex(4),
-            to: OpIndex(3),
-            from_mhz: 257.5,
-            to_mhz: 255.0,
-            from_mv: 652.0,
-            to_mv: 650.0,
-        };
-        let run_a = ("a|adaptive".to_string(), vec![step(DomainId::Int)]);
-        let run_b = ("b|PID".to_string(), vec![step(DomainId::Ls)]);
-        let forward = render_traces(&[run_a.clone(), run_b.clone()]);
-        let backward = render_traces(&[run_b, run_a]);
+        let run_a = recording("a|adaptive", vec![step(DomainId::Int, 500)]);
+        let run_b = recording("b|PID", vec![step(DomainId::Ls, 500)]);
+        let forward = render_jsonl(&[run_a.clone(), run_b.clone()]);
+        let backward = render_jsonl(&[run_b, run_a]);
         assert_ne!(forward, backward, "the files really differ");
-        let a = analyze(&forward).expect("valid").report();
-        let b = analyze(&backward).expect("valid").report();
+        let a = analyze_jsonl(&forward).expect("valid").report();
+        let b = analyze_jsonl(&backward).expect("valid").report();
         assert_eq!(a, b, "run order in the file must not change the report");
     }
 
     #[test]
+    fn step_before_its_onset_reacts_like_the_catalog_in_both_forms() {
+        let events = vec![enter(DomainId::Int, 500), step(DomainId::Int, 200)];
+        let catalog = catalog_episodes(&events);
+        assert_eq!(catalog.len(), 1);
+        assert_eq!(catalog[0].reaction_ps, Some(0), "the catalog saturates");
+        let [jsonl, mcdt] =
+            analyze_both_forms(&render_jsonl(&[recording("r", events)])).map(|a| a.expect("valid"));
+        for a in [&jsonl, &mcdt] {
+            assert_eq!(a.reaction[0].count(), 1);
+            assert_eq!(a.reaction[0].sum(), 0);
+            assert_eq!(a.mean_reaction_time_ns(0), Some(0.0));
+        }
+        assert_eq!(jsonl.report(), mcdt.report());
+    }
+
+    #[test]
+    fn front_end_events_are_typed_errors_in_both_forms() {
+        let jsonl = render_jsonl(&[recording("r", vec![step(DomainId::FrontEnd, 100)])]);
+        assert_eq!(jsonl.lines().count(), 1);
+        for result in analyze_both_forms(&jsonl) {
+            let err = result.expect_err("front-end events have no backend domain");
+            assert_eq!(err.kind(), "config-invalid");
+            assert!(err.to_string().contains("no backend domain"), "got: {err}");
+        }
+    }
+
+    #[test]
     fn malformed_lines_are_typed_errors() {
-        let err = analyze("{\"run\": \"x\", \"oops\": 1}\n").unwrap_err();
+        let err = analyze_jsonl("{\"run\": \"x\", \"oops\": 1}\n").unwrap_err();
         assert_eq!(err.kind(), "config-invalid");
         assert!(err.to_string().contains("trace line 1"));
     }
 
     #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
-    }
-
-    #[test]
     fn empty_input_is_a_typed_error_not_a_zero_report() {
         for input in ["", "\n", "  \n\n \n"] {
-            let err = analyze(input).unwrap_err();
+            let err = analyze_jsonl(input).unwrap_err();
             assert_eq!(err.kind(), "config-invalid", "input {input:?}");
             assert!(err.to_string().contains("empty"), "got: {err}");
         }
@@ -799,7 +672,7 @@ mod tests {
         // writer would leave it.
         let cut = &full[..full.len() - 20];
         assert!(!cut.ends_with('\n'));
-        let analysis = analyze(cut).expect("partial analysis, not an error");
+        let analysis = analyze_jsonl(cut).expect("partial analysis, not an error");
         assert_eq!(analysis.events, 6, "the seventh, cut line is dropped");
         let report = analysis.report();
         assert!(
@@ -809,7 +682,7 @@ mod tests {
         assert!(report.contains("unterminated final line 7"));
         // The same mangled line *with* a terminator is a hard error: the
         // file claims the line is complete, so it is corrupt, not cut.
-        let err = analyze(&format!("{cut}\n")).unwrap_err();
+        let err = analyze_jsonl(&format!("{cut}\n")).unwrap_err();
         assert_eq!(err.kind(), "config-invalid");
         assert!(err.to_string().contains("trace line 7"));
     }
@@ -818,14 +691,14 @@ mod tests {
     fn parseable_unterminated_final_line_is_kept_without_a_note() {
         let full = sample_trace();
         let cut = full.strip_suffix('\n').expect("renders end in newline");
-        let analysis = analyze(cut).expect("valid");
+        let analysis = analyze_jsonl(cut).expect("valid");
         assert_eq!(analysis.events, 7);
         assert!(!analysis.report().contains("NOTE: partial analysis"));
     }
 
     #[test]
     fn malformed_interior_lines_stay_hard_errors_even_when_unterminated() {
-        let err = analyze("{\"run\": \"x\", \"oops\": 1}\n{\"run\"").unwrap_err();
+        let err = analyze_jsonl("{\"run\": \"x\", \"oops\": 1}\n{\"run\"").unwrap_err();
         assert_eq!(err.kind(), "config-invalid");
         assert!(err.to_string().contains("trace line 1"));
     }

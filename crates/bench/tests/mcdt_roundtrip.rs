@@ -6,7 +6,7 @@
 
 use mcd_bench::runner::{RecorderSink, RunConfig, RunSet, Scheme};
 use mcd_bench::trace_analyze;
-use mcd_trace::{catalog_episodes, read_index, read_mcdt, write_mcdt};
+use mcd_trace::{catalog_episodes, read_index, read_mcdt, render_jsonl, write_mcdt};
 
 fn sharded_cfg() -> RunConfig {
     RunConfig::quick().with_ops(20_000).with_shard_ops(4_000)
@@ -63,17 +63,21 @@ fn mcdt_of_a_sharded_sweep_round_trips_and_carries_anchors() {
 #[test]
 fn mcdt_renders_byte_identically_to_the_direct_jsonl_run() {
     let recordings = recorded_sweep();
-    let direct = trace_analyze::render_recordings(&recordings);
+    let direct = render_jsonl(&recordings);
     let bytes = write_mcdt(&recordings);
     let decoded = read_mcdt(&bytes).expect("own bytes decode");
-    let via_mcdt = trace_analyze::render_recordings(&decoded.runs);
     assert_eq!(
-        via_mcdt, direct,
+        render_jsonl(&decoded.runs),
+        direct,
         "mcdt -> JSONL must be byte-identical to a direct JSONL trace"
     );
-    // And the analyzer cannot tell them apart.
-    let a = trace_analyze::analyze(&direct).expect("valid").report();
-    let b = trace_analyze::analyze(&via_mcdt).expect("valid").report();
+    // And the analyzer cannot tell the decoded file from the JSONL text.
+    let a = trace_analyze::analyze_jsonl(&direct)
+        .expect("valid")
+        .report();
+    let b = trace_analyze::analyze(&decoded.runs)
+        .expect("valid")
+        .report();
     assert_eq!(a, b);
 }
 
@@ -100,26 +104,38 @@ fn index_episodes_match_the_offline_catalog_and_analyzer_totals() {
     assert_eq!(index.episode_count(), indexed_total);
     assert!(indexed_total > 0, "a traced adaptive run has episodes");
 
-    // The catalog's reacted-episode count per domain equals the
-    // analyzer's, since both replay the same onset rule.
-    let jsonl = trace_analyze::render_recordings(&recordings);
-    let analysis = trace_analyze::analyze(&jsonl).expect("valid");
+    // Per domain, the catalog and the analyzer agree on every reaction
+    // and on every abandoned episode. The catalog also closes episodes
+    // still open at run end (at one past the last event); the analyzer
+    // never sees those close, so they are left out of the comparison.
+    let analysis = trace_analyze::analyze(&recordings).expect("valid");
     let mut reacted = [0u64; 3];
+    let mut reaction_sum = [0u64; 3];
+    let mut abandoned = [0u64; 3];
     for run_idx in &index.runs {
         for ep in &run_idx.episodes {
-            if ep.reaction_ps.is_some() {
-                reacted[ep.domain] += 1;
+            match ep.reaction_ps {
+                Some(ps) => {
+                    reacted[ep.domain] += 1;
+                    reaction_sum[ep.domain] += ps;
+                }
+                None if ep.close_event_index < run_idx.event_count => abandoned[ep.domain] += 1,
+                None => {}
             }
         }
     }
-    let mean_of = |d: usize| analysis.mean_reaction_time_ns(d);
-    for (d, &count) in reacted.iter().enumerate() {
+    for d in 0..3 {
+        let reactions = analysis.reaction_ps(d);
+        assert_eq!(reacted[d], reactions.count(), "domain {d}: reacted count");
+        assert_eq!(reaction_sum[d], reactions.sum(), "domain {d}: reaction sum");
         assert_eq!(
-            mean_of(d).is_some(),
-            count > 0,
-            "domain {d}: analyzer and catalog agree on whether anything reacted"
+            abandoned[d],
+            analysis.episodes_abandoned(d),
+            "domain {d}: abandoned count"
         );
     }
+    assert!(reacted.iter().sum::<u64>() > 0, "something reacted");
+    assert!(abandoned.iter().sum::<u64>() > 0, "something was abandoned");
 }
 
 #[test]

@@ -5,16 +5,17 @@
 
 use mcd_bench::experiments;
 use mcd_bench::runner::{ControllerActivity, RunConfig, RunSet};
-use mcd_bench::trace_analyze::{analyze, render_traces};
+use mcd_bench::trace_analyze::{analyze, analyze_jsonl};
+use mcd_trace::{render_jsonl, RunRecording};
 
-/// Runs fig9 with tracing on `jobs` workers and returns the rendered
-/// JSONL plus the counters the run accumulated.
-fn traced_run(jobs: usize) -> (String, ControllerActivity) {
+/// Runs fig9 with tracing on `jobs` workers and returns the recordings
+/// plus the counters the run accumulated.
+fn traced_run(jobs: usize) -> (Vec<RunRecording>, ControllerActivity) {
     let cfg = RunConfig::quick().with_ops(20_000);
     let rs = RunSet::new(jobs).with_tracing();
     experiments::run_on(&rs, "fig9", &cfg).expect("valid run");
-    let traces = rs.drain_traces().expect("tracing enabled");
-    (render_traces(&traces), rs.activity())
+    let recordings = rs.drain_recordings().expect("tracing enabled");
+    (recordings, rs.activity())
 }
 
 #[test]
@@ -29,10 +30,10 @@ fn report_is_byte_identical_across_worker_counts() {
         .collect();
     assert_eq!(reports[0], reports[1], "jobs=1 vs jobs=2");
     assert_eq!(reports[0], reports[2], "jobs=1 vs jobs=8");
-    // And the trace bytes themselves are jobs-invariant (drain_traces
+    // And the trace bytes themselves are jobs-invariant (drain_recordings
     // sorts), so the analyzer input really is the same artifact.
     let (trace8, _) = traced_run(8);
-    assert_eq!(trace1, trace8);
+    assert_eq!(render_jsonl(&trace1), render_jsonl(&trace8));
 }
 
 #[test]
@@ -67,11 +68,11 @@ fn report_round_trips_through_a_file() {
     let dir = std::env::temp_dir().join(format!("mcd-trace-analyze-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("fig9.trace.jsonl");
-    std::fs::write(&path, &trace).expect("write trace");
+    std::fs::write(&path, render_jsonl(&trace)).expect("write trace");
     let reread = std::fs::read_to_string(&path).expect("read trace");
     assert_eq!(
         analyze(&trace).expect("direct").report(),
-        analyze(&reread).expect("from disk").report(),
+        analyze_jsonl(&reread).expect("from disk").report(),
         "disk round-trip must not perturb the report"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -19,6 +19,8 @@
 //! are a 431, bodies past [`MAX_BODY`] a 413, so a hostile client costs
 //! the loop a bounded buffer and one deadline, never a thread.
 
+pub use mcd_trace::json_escape;
+
 /// Largest accepted request body; larger requests get 413.
 pub const MAX_BODY: usize = 64 * 1024;
 /// Largest accepted request line or header line.
@@ -376,23 +378,6 @@ pub fn chunk_end() -> &'static [u8] {
     b"0\r\n\r\n"
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,14 +513,6 @@ mod tests {
         assert!(!req.accepts_mcdt);
         let (req, _) = complete(b"GET /watch/k HTTP/1.1\r\n\r\n");
         assert!(!req.accepts_mcdt, "no Accept header defaults to NDJSON");
-    }
-
-    #[test]
-    fn escape_covers_quotes_controls_and_passthrough() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("l1\nl2\tt"), "l1\\nl2\\tt");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

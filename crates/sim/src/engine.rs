@@ -15,6 +15,7 @@ use crate::controller::{ControllerCtx, DvfsController, QueueSample};
 use crate::error::SimError;
 use crate::memory::MainMemory;
 use crate::metrics::{FreqTracePoint, Metrics, StallCause};
+use crate::onset::{OnsetEffect, OnsetTracker};
 use crate::queue::{IqEntry, IssueQueue};
 use crate::regfile::FreeList;
 use crate::result::{DomainResult, SimResult};
@@ -205,9 +206,8 @@ pub struct Machine<T> {
     // Controller-event scratch reused across samples so draining never
     // allocates in the steady state; always left empty between ticks.
     ctrl_events: Vec<CtrlEvent>,
-    // Earliest unanswered deviation onset per backend domain and signal
-    // (0 = occupancy, 1 = delta), for reaction-time measurement.
-    onsets: [[Option<TimePs>; 2]; 3],
+    // Pending deviation onsets, for reaction-time measurement.
+    onsets: OnsetTracker,
 }
 
 impl<T> std::fmt::Debug for Machine<T> {
@@ -304,7 +304,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
             fe_iq_wait: None,
             no_sleep_until: [TimePs::ZERO; 4],
             ctrl_events: Vec::new(),
-            onsets: [[None; 2]; 3],
+            onsets: OnsetTracker::new(),
             cfg,
         })
     }
@@ -1410,19 +1410,12 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         ev: &CtrlEvent,
         sink: &mut S,
     ) {
+        self.onsets.ctrl(bi, ev);
         match *ev {
-            CtrlEvent::WindowEnter { at, signal, .. } => {
-                let slot = &mut self.onsets[bi][signal.index()];
-                if slot.is_none() {
-                    *slot = Some(at);
-                }
-            }
-            CtrlEvent::WindowExit { signal, .. } => {
-                self.onsets[bi][signal.index()] = None;
-            }
             CtrlEvent::RelayArm { .. } => self.metrics.relay_arms[bi] += 1,
             CtrlEvent::RelayFire { .. } => self.metrics.relay_fires[bi] += 1,
             CtrlEvent::RelayReset { .. } => self.metrics.relay_resets[bi] += 1,
+            CtrlEvent::WindowEnter { .. } | CtrlEvent::WindowExit { .. } => {}
         }
         if sink.enabled() {
             sink.record(&TraceEvent::Controller {
@@ -1449,14 +1442,9 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         } else {
             self.metrics.freq_steps_down[bi] += 1;
         }
-        let onset = match (self.onsets[bi][0], self.onsets[bi][1]) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(on) = onset {
-            self.metrics.reaction_sum_ps[bi] += (t - on).as_ps();
+        if let OnsetEffect::Reacted(ps) = self.onsets.step(bi, t) {
+            self.metrics.reaction_sum_ps[bi] += ps;
             self.metrics.reaction_count[bi] += 1;
-            self.onsets[bi] = [None, None];
         }
         if sink.enabled() {
             let curve = &self.cfg.vf_curve;
@@ -1593,11 +1581,7 @@ impl<T: Iterator<Item = MicroOp> + crate::snapshot::SnapshotSource> Machine<T> {
         for &t in &self.no_sleep_until {
             w.put_u64(t.as_ps());
         }
-        for row in &self.onsets {
-            for &onset in row {
-                w.put_opt_u64(onset.map(TimePs::as_ps));
-            }
-        }
+        self.onsets.save_state(&mut w);
 
         // Controllers: presence, name, and a length-prefixed state blob,
         // so a stateless default (empty blob) and a stateful override
@@ -1723,11 +1707,7 @@ impl<T: Iterator<Item = MicroOp> + crate::snapshot::SnapshotSource> Machine<T> {
         for t in &mut self.no_sleep_until {
             *t = TimePs::new(r.take_u64()?);
         }
-        for row in &mut self.onsets {
-            for onset in row {
-                *onset = r.take_opt_u64()?.map(TimePs::new);
-            }
-        }
+        self.onsets.load_state(&mut r)?;
 
         for (bi, ctrl) in self.controllers.iter_mut().enumerate() {
             let present = r.take_bool()?;

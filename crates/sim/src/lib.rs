@@ -47,6 +47,7 @@ pub mod error;
 mod jitter;
 pub mod memory;
 pub mod metrics;
+pub mod onset;
 pub mod queue;
 pub mod regfile;
 pub mod result;
@@ -63,6 +64,7 @@ pub use controller::{ControllerCtx, DvfsAction, DvfsController, QueueSample};
 pub use engine::Machine;
 pub use error::SimError;
 pub use metrics::{FreqTracePoint, Metrics};
+pub use onset::{OnsetEffect, OnsetTracker};
 pub use result::{DomainResult, SimResult};
 pub use snapshot::{SnapshotSource, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 pub use telemetry::{SimTelemetry, TelemetrySink};

@@ -3,10 +3,11 @@
 //! The always-on [`Metrics`](crate::metrics::Metrics) counters surface
 //! only per-domain *means* (e.g. `mean_reaction_time_ns`). This module
 //! adds distributions without touching the engine's hot path: a
-//! [`TelemetrySink`] sits behind the existing [`TraceSink`] seam,
-//! replays the engine's deviation-onset bookkeeping from the events it
-//! already emits, and folds every reaction time and queue-occupancy
-//! sample into lock-free [`Histogram`]s shared with the caller.
+//! [`TelemetrySink`] sits behind the existing [`TraceSink`] seam, runs
+//! the events the engine already emits through the engine's own
+//! [`OnsetTracker`], and folds every reaction time and queue-occupancy
+//! sample into lock-free [`Histogram`]s shared with the caller. The
+//! offline trace analyzer folds recorded events through the same sink.
 //!
 //! Because it is just another sink, the zero-cost story is unchanged:
 //! runs driven with [`NullSink`](crate::trace::NullSink) still compile
@@ -14,10 +15,10 @@
 //! depend on whether telemetry was attached (see the bench crate's
 //! `trace_noninterference` suite).
 
-use mcd_power::TimePs;
 use mcd_telemetry::Histogram;
 
-use crate::trace::{CtrlEvent, TraceEvent, TraceSink};
+use crate::onset::{OnsetEffect, OnsetTracker};
+use crate::trace::{TraceEvent, TraceSink};
 
 /// Shared per-domain distribution accumulators (backend-domain order:
 /// INT, FP, LS). All histograms are lock-free; share via `Arc` across
@@ -43,16 +44,14 @@ impl SimTelemetry {
 /// inner sink (use [`NullSink`](crate::trace::NullSink) when only the
 /// histograms are wanted).
 ///
-/// Reaction times are reconstructed with exactly the engine's rule
-/// (`observe_ctrl_event` / `note_freq_step`): a domain's onset is the
-/// first `window_enter` per signal while none is pending, `window_exit`
-/// clears that signal's onset, and a `freq_step` closes the episode at
-/// the earliest pending onset across both signals.
+/// Reaction times come from an [`OnsetTracker`], the same rule the
+/// engine's counters use, so the distribution's mean is the counters'
+/// mean.
 #[derive(Debug)]
 pub struct TelemetrySink<'a, S> {
     telemetry: &'a SimTelemetry,
     inner: S,
-    onsets: [[Option<TimePs>; 2]; 3],
+    onsets: OnsetTracker,
     /// Last cumulative occupancy-histogram snapshot seen per domain;
     /// `queue_histogram` events carry running totals, so each event
     /// contributes its delta.
@@ -65,7 +64,7 @@ impl<'a, S: TraceSink> TelemetrySink<'a, S> {
         TelemetrySink {
             telemetry,
             inner,
-            onsets: [[None; 2]; 3],
+            onsets: OnsetTracker::new(),
             seen_occupancy: [Vec::new(), Vec::new(), Vec::new()],
         }
     }
@@ -74,50 +73,33 @@ impl<'a, S: TraceSink> TelemetrySink<'a, S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
+
+    /// Folds one backend-domain event into the distributions without
+    /// forwarding it, and reports what it did to the domain's episode.
+    pub fn observe(&mut self, event: &TraceEvent) -> OnsetEffect {
+        let effect = self.onsets.observe(event);
+        let bi = event.domain().backend_index();
+        if let OnsetEffect::Reacted(ps) = effect {
+            self.telemetry.reaction_ps[bi].record(ps);
+        }
+        if let TraceEvent::QueueHistogram { counts, .. } = event {
+            let seen = &mut self.seen_occupancy[bi];
+            seen.resize(counts.len().max(seen.len()), 0);
+            for (occupancy, (&now, prev)) in counts.iter().zip(seen.iter_mut()).enumerate() {
+                let delta = now.saturating_sub(*prev);
+                if delta > 0 {
+                    self.telemetry.occupancy[bi].record_n(occupancy as u64, delta);
+                }
+                *prev = now;
+            }
+        }
+        effect
+    }
 }
 
 impl<S: TraceSink> TraceSink for TelemetrySink<'_, S> {
     fn record(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::Controller { domain, event } => {
-                let bi = domain.backend_index();
-                match *event {
-                    CtrlEvent::WindowEnter { at, signal, .. } => {
-                        let slot = &mut self.onsets[bi][signal.index()];
-                        if slot.is_none() {
-                            *slot = Some(at);
-                        }
-                    }
-                    CtrlEvent::WindowExit { signal, .. } => {
-                        self.onsets[bi][signal.index()] = None;
-                    }
-                    _ => {}
-                }
-            }
-            TraceEvent::FreqStep { at, domain, .. } => {
-                let bi = domain.backend_index();
-                let onset = match (self.onsets[bi][0], self.onsets[bi][1]) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                if let Some(on) = onset {
-                    self.telemetry.reaction_ps[bi].record((*at - on).as_ps());
-                    self.onsets[bi] = [None, None];
-                }
-            }
-            TraceEvent::QueueHistogram { domain, counts, .. } => {
-                let bi = domain.backend_index();
-                let seen = &mut self.seen_occupancy[bi];
-                seen.resize(counts.len().max(seen.len()), 0);
-                for (occupancy, (&now, prev)) in counts.iter().zip(seen.iter_mut()).enumerate() {
-                    let delta = now.saturating_sub(*prev);
-                    if delta > 0 {
-                        self.telemetry.occupancy[bi].record_n(occupancy as u64, delta);
-                    }
-                    *prev = now;
-                }
-            }
-        }
+        self.observe(event);
         if self.inner.enabled() {
             self.inner.record(event);
         }
@@ -134,8 +116,8 @@ impl<S: TraceSink> TraceSink for TelemetrySink<'_, S> {
 mod tests {
     use super::*;
     use crate::config::DomainId;
-    use crate::trace::{NullSink, SignalKind, StepDir, VecSink};
-    use mcd_power::OpIndex;
+    use crate::trace::{CtrlEvent, NullSink, SignalKind, StepDir, VecSink};
+    use mcd_power::{OpIndex, TimePs};
 
     fn enter(domain: DomainId, at_ns: u64, signal: SignalKind) -> TraceEvent {
         TraceEvent::Controller {

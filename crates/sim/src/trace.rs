@@ -83,7 +83,8 @@ pub enum ResetReason {
 }
 
 impl ResetReason {
-    fn label(self) -> &'static str {
+    /// The reason as serialized in trace lines (`back-inside`, ...).
+    pub fn label(self) -> &'static str {
         match self {
             ResetReason::BackInside => "back-inside",
             ResetReason::SideFlip => "side-flip",
@@ -274,6 +275,23 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The domain the event belongs to.
+    pub fn domain(&self) -> DomainId {
+        match *self {
+            TraceEvent::Controller { domain, .. }
+            | TraceEvent::FreqStep { domain, .. }
+            | TraceEvent::QueueHistogram { domain, .. } => domain,
+        }
+    }
+
+    /// The sample time the event was recorded at.
+    pub fn at(&self) -> TimePs {
+        match *self {
+            TraceEvent::Controller { ref event, .. } => event.at(),
+            TraceEvent::FreqStep { at, .. } | TraceEvent::QueueHistogram { at, .. } => at,
+        }
+    }
+
     /// Direction of a frequency step (`None` for other event kinds).
     pub fn step_dir(&self) -> Option<StepDir> {
         match self {

@@ -278,28 +278,11 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 
 // ------------------------------------------------------------ the event
 
-/// The domain an event is attributed to.
-pub(crate) fn event_domain(ev: &TraceEvent) -> DomainId {
-    match ev {
-        TraceEvent::Controller { domain, .. }
-        | TraceEvent::FreqStep { domain, .. }
-        | TraceEvent::QueueHistogram { domain, .. } => *domain,
-    }
-}
-
-/// The event's sample time in picoseconds.
-pub(crate) fn event_t_ps(ev: &TraceEvent) -> u64 {
-    match ev {
-        TraceEvent::Controller { event, .. } => event.at().as_ps(),
-        TraceEvent::FreqStep { at, .. } | TraceEvent::QueueHistogram { at, .. } => at.as_ps(),
-    }
-}
-
 /// Appends one event in wire form: `[tag][domain][zigzag Δt][fields…]`.
 /// `prev_t` carries the running timestamp; deltas are wrapping so any
 /// `u64` pair round-trips.
 pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent) {
-    let t = event_t_ps(ev);
+    let t = ev.at().as_ps();
     let dt = t.wrapping_sub(*prev_t) as i64;
     *prev_t = t;
     let (tag, ctrl) = match ev {
@@ -314,7 +297,7 @@ pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent)
         TraceEvent::QueueHistogram { .. } => (TAG_QUEUE_HISTOGRAM, None),
     };
     buf.push(tag);
-    buf.push(event_domain(ev).index() as u8);
+    buf.push(ev.domain().index() as u8);
     put_varint(buf, zigzag(dt));
     match (ctrl, ev) {
         (

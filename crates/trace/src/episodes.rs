@@ -1,9 +1,10 @@
 //! The episode catalog: deviation-window enter→exit spans with reaction
-//! times, computed with exactly the onset bookkeeping `trace analyze`
-//! and the telemetry sink use, so catalog aggregates always agree with
-//! the analyzer's reaction-time report.
+//! times. Episodes open, react and are abandoned exactly when
+//! [`OnsetTracker`] says so — the one onset rule the engine counters,
+//! the telemetry sink and `trace analyze` also use — so catalog
+//! aggregates always agree with the analyzer's reaction-time report.
 
-use mcd_sim::{CtrlEvent, DomainId, TraceEvent};
+use mcd_sim::{CtrlEvent, DomainId, OnsetEffect, OnsetTracker, TraceEvent};
 
 /// One controller episode: the span from a domain's first deviation-window
 /// entry (with no other onset pending) to the frequency step that answered
@@ -44,88 +45,50 @@ struct OpenEpisode {
 /// then call [`EpisodeTracker::finish`].
 #[derive(Debug, Default)]
 pub(crate) struct EpisodeTracker {
-    /// Pending onset time per (back-end domain, signal) — the analyzer's
-    /// rule: a window entry records an onset only if that slot is empty.
-    onsets: [[Option<u64>; 2]; 3],
+    onsets: OnsetTracker,
     open: [Option<OpenEpisode>; 3],
     episodes: Vec<Episode>,
-}
-
-fn backend_index(domain: DomainId) -> Option<usize> {
-    match domain {
-        DomainId::FrontEnd => None,
-        d => Some(d.backend_index()),
-    }
 }
 
 impl EpisodeTracker {
     /// Observes the `idx`-th event of the run; `block_offset` is where the
     /// events block holding it will land in the file.
     pub(crate) fn observe(&mut self, idx: u64, block_offset: u64, ev: &TraceEvent) {
-        match ev {
-            TraceEvent::Controller { domain, event } => {
-                let Some(bi) = backend_index(*domain) else {
-                    return;
-                };
-                match *event {
-                    CtrlEvent::WindowEnter { at, signal, .. } => {
-                        let t = at.as_ps();
-                        if self.open[bi].is_none() {
-                            self.open[bi] = Some(OpenEpisode {
-                                start_event_index: idx,
-                                start_ps: t,
-                                block_offset,
-                                resets: 0,
-                            });
-                        }
-                        let slot = &mut self.onsets[bi][signal.index()];
-                        if slot.is_none() {
-                            *slot = Some(t);
-                        }
-                    }
-                    CtrlEvent::WindowExit { at, signal, .. } => {
-                        let had = self.onsets[bi].iter().any(Option::is_some);
-                        self.onsets[bi][signal.index()] = None;
-                        let all_clear = self.onsets[bi].iter().all(Option::is_none);
-                        if had && all_clear {
-                            if let Some(open) = self.open[bi].take() {
-                                self.close(bi, open, idx, at.as_ps(), None);
-                            }
-                        }
-                    }
-                    CtrlEvent::RelayReset { .. } => {
-                        if let Some(open) = self.open[bi].as_mut() {
-                            open.resets += 1;
-                        }
-                    }
-                    CtrlEvent::RelayArm { .. } | CtrlEvent::RelayFire { .. } => {}
-                }
+        if ev.domain() == DomainId::FrontEnd {
+            return;
+        }
+        let bi = ev.domain().backend_index();
+        let t = ev.at().as_ps();
+        match self.onsets.observe(ev) {
+            OnsetEffect::Opened => {
+                self.open[bi] = Some(OpenEpisode {
+                    start_event_index: idx,
+                    start_ps: t,
+                    block_offset,
+                    resets: 0,
+                });
             }
-            TraceEvent::FreqStep { at, domain, .. } => {
-                let Some(bi) = backend_index(*domain) else {
-                    return;
-                };
-                let onset = self.onsets[bi].iter().flatten().min().copied();
-                if let Some(onset) = onset {
-                    let t = at.as_ps();
-                    self.onsets[bi] = [None, None];
-                    if let Some(open) = self.open[bi].take() {
-                        self.close(bi, open, idx, t, Some(t.saturating_sub(onset)));
+            OnsetEffect::Abandoned => self.close(bi, idx, t, None),
+            OnsetEffect::Reacted(ps) => self.close(bi, idx, t, Some(ps)),
+            OnsetEffect::Unchanged => {
+                if let TraceEvent::Controller {
+                    event: CtrlEvent::RelayReset { .. },
+                    ..
+                } = ev
+                {
+                    if let Some(open) = self.open[bi].as_mut() {
+                        open.resets += 1;
                     }
                 }
             }
-            TraceEvent::QueueHistogram { .. } => {}
         }
     }
 
-    fn close(
-        &mut self,
-        bi: usize,
-        open: OpenEpisode,
-        close_idx: u64,
-        close_ps: u64,
-        reaction_ps: Option<u64>,
-    ) {
+    /// Closes `bi`'s open episode at the `close_idx`-th event.
+    fn close(&mut self, bi: usize, close_idx: u64, close_ps: u64, reaction_ps: Option<u64>) {
+        let Some(open) = self.open[bi].take() else {
+            return;
+        };
         self.episodes.push(Episode {
             domain: bi,
             onset_event_index: open.start_event_index,
@@ -142,9 +105,7 @@ impl EpisodeTracker {
     /// one past the last event) and returns the catalog in onset order.
     pub(crate) fn finish(mut self, event_count: u64, last_t_ps: u64) -> Vec<Episode> {
         for bi in 0..3 {
-            if let Some(open) = self.open[bi].take() {
-                self.close(bi, open, event_count, last_t_ps, None);
-            }
+            self.close(bi, event_count, last_t_ps, None);
         }
         self.episodes
             .sort_by_key(|e| (e.onset_event_index, e.domain, e.close_event_index));
@@ -159,7 +120,7 @@ pub fn catalog_episodes(events: &[TraceEvent]) -> Vec<Episode> {
     let mut last_t = 0u64;
     for (i, ev) in events.iter().enumerate() {
         tracker.observe(i as u64, 0, ev);
-        last_t = crate::codec::event_t_ps(ev);
+        last_t = ev.at().as_ps();
     }
     tracker.finish(events.len() as u64, last_t)
 }

@@ -1,23 +1,27 @@
-//! Lossless JSONL interop with the PR 2 `--trace-out` format.
+//! The `--trace-out` JSONL format: its one writer and its one reader.
 //!
-//! [`render_jsonl`] reproduces the harness writer byte-for-byte (it
-//! splices each event's own `to_json` body after the run tag), and
-//! [`parse_jsonl`] inverts it exactly: `f64` text produced by the writer
-//! is the shortest round-trip form, so `parse → render` returns the
-//! original bytes — the property the `.mcdt` converter is gated on.
+//! [`render_jsonl`] is the writer (it splices each event's own `to_json`
+//! body after the run tag), and [`parse_jsonl`] inverts it exactly:
+//! `f64` text produced by the writer is the shortest round-trip form, so
+//! `parse → render` returns the original bytes — the property the
+//! `.mcdt` converter is gated on.
 
 use mcd_power::{OpIndex, TimePs};
 use mcd_sim::{CtrlEvent, DomainId, ResetReason, SignalKind, StepDir, TraceEvent};
 
 use crate::{err, RunRecording, TraceCodecError};
 
-/// Escapes a run label for embedding in a JSON string literal.
+/// Escapes a string for embedding in a JSON string literal: run labels
+/// in trace lines, and every string mcd-serve writes into a JSON body.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -25,13 +29,14 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders labeled event streams as the harness's JSON-lines format: one
-/// event per line, each tagged with the run label that produced it.
-pub fn render_jsonl(traces: &[(String, Vec<TraceEvent>)]) -> String {
+/// Renders recordings as the harness's JSON-lines format: one event per
+/// line, each tagged with the run label that produced it. Specs and
+/// anchors have no JSONL form.
+pub fn render_jsonl(recordings: &[RunRecording]) -> String {
     let mut out = String::new();
-    for (label, events) in traces {
-        let run = json_escape(label);
-        for ev in events {
+    for r in recordings {
+        let run = json_escape(&r.label);
+        for ev in &r.events {
             let body = ev.to_json();
             // Splice the run tag into the event object: {"run":"...",...}.
             out.push_str(&format!("{{\"run\": \"{run}\", {}\n", &body[1..]));
@@ -463,27 +468,31 @@ mod tests {
         ]
     }
 
+    fn recording(label: &str, events: Vec<TraceEvent>) -> RunRecording {
+        RunRecording {
+            label: label.to_string(),
+            spec: None,
+            events,
+            anchors: Vec::new(),
+        }
+    }
+
     #[test]
     fn parse_render_is_the_identity_on_writer_output() {
         let traces = vec![
-            ("fig9|adaptive|ops=1000".to_string(), sample_events()),
-            (
-                "weird \"label\"\\with\u{1}escapes".to_string(),
-                sample_events(),
-            ),
+            recording("fig9|adaptive|ops=1000", sample_events()),
+            recording("weird \"label\"\\with\u{1}escapes", sample_events()),
         ];
         let text = render_jsonl(&traces);
         let parsed = parse_jsonl(&text).expect("writer output parses");
-        let roundtrip: Vec<(String, Vec<TraceEvent>)> =
-            parsed.into_iter().map(|r| (r.label, r.events)).collect();
-        assert_eq!(render_jsonl(&roundtrip), text);
-        assert_eq!(roundtrip, traces);
+        assert_eq!(render_jsonl(&parsed), text);
+        assert_eq!(parsed, traces);
     }
 
     #[test]
     fn null_value_round_trips_as_nan() {
-        let traces = vec![(
-            "r".to_string(),
+        let traces = vec![recording(
+            "r",
             vec![TraceEvent::Controller {
                 domain: DomainId::Int,
                 event: CtrlEvent::WindowExit {
@@ -497,13 +506,15 @@ mod tests {
         let text = render_jsonl(&traces);
         assert!(text.contains("\"value\":null"));
         let parsed = parse_jsonl(&text).expect("parses");
-        let rendered = render_jsonl(
-            &parsed
-                .into_iter()
-                .map(|r| (r.label, r.events))
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(rendered, text);
+        assert_eq!(render_jsonl(&parsed), text);
+    }
+
+    #[test]
+    fn escape_covers_quotes_controls_and_passthrough() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l1\nl2\tt\r"), "l1\\nl2\\tt\\r");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //!   IEEE-754 bits for lossless `f64` round-trips), snapshot anchors, and
 //!   one trailing index. A fixed-size footer points at the index so
 //!   readers seek to it in O(1) without scanning the stream.
-//! * **Episode catalog.** While encoding, [`BinarySink`] replays the same
-//!   deviation-onset bookkeeping as `trace analyze`: every window
-//!   enter→exit episode lands in the index with onset time, reaction
-//!   time, relay resets and the file offset of the block holding its
-//!   onset — episode queries against a `.mcdt` file never decode events.
+//! * **Episode catalog.** While encoding, [`BinarySink`] runs the events
+//!   through [`mcd_sim::OnsetTracker`], the onset rule the engine and
+//!   `trace analyze` use: every window enter→exit episode lands in the
+//!   index with onset time, reaction time, relay resets and the file
+//!   offset of the block holding its onset — episode queries against a
+//!   `.mcdt` file never decode events.
 //! * **Anchors for time-travel.** The sharded runner drops `Machine`
 //!   snapshots at shard boundaries through
 //!   [`TraceSink::record_anchor`]; the index records where they landed so
 //!   a replay can restore the nearest anchor and re-simulate just the
 //!   segment around an episode.
-//! * **Lossless JSONL interop.** [`render_jsonl`] emits byte-identical
-//!   output to the PR 2 writer, and [`parse_jsonl`] inverts it exactly
+//! * **Lossless JSONL interop.** [`render_jsonl`] writes the
+//!   `--trace-out` JSONL format, and [`parse_jsonl`] inverts it exactly
 //!   (shortest-round-trip `f64` text both ways), so `.mcdt` ⇄ JSONL
 //!   conversion is proven by byte comparison, not by eyeballing.
 //!

@@ -4,7 +4,7 @@
 
 use mcd_sim::{TraceEvent, TraceSink};
 
-use crate::codec::{encode_event, event_t_ps, put_opt_str, put_str, put_varint, write_block};
+use crate::codec::{encode_event, put_opt_str, put_str, put_varint, write_block};
 use crate::episodes::EpisodeTracker;
 use crate::{
     block, Anchor, AnchorRef, Episode, RunIndex, RunRecording, TraceIndex, EVENTS_PER_BLOCK,
@@ -157,7 +157,7 @@ impl TraceSink for BinarySink {
         cur.tracker
             .observe(cur.event_index, cur.block_offset, event);
         encode_event(&mut cur.block, &mut cur.prev_t, event);
-        cur.last_t = event_t_ps(event);
+        cur.last_t = event.at().as_ps();
         cur.event_index += 1;
         cur.block_events += 1;
         if cur.block_events >= EVENTS_PER_BLOCK {

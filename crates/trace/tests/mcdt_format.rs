@@ -185,20 +185,11 @@ fn every_flipped_byte_in_a_block_is_detected() {
 #[test]
 fn mcdt_of_rendered_jsonl_round_trips_to_identical_text() {
     let runs = sample_runs();
-    let labeled: Vec<(String, Vec<TraceEvent>)> = runs
-        .iter()
-        .map(|r| (r.label.clone(), r.events.clone()))
-        .collect();
-    let text = render_jsonl(&labeled);
+    let text = render_jsonl(&runs);
     let bytes = write_mcdt(&runs);
     let decoded = read_mcdt(&bytes).expect("decodes");
-    let relabeled: Vec<(String, Vec<TraceEvent>)> = decoded
-        .runs
-        .iter()
-        .map(|r| (r.label.clone(), r.events.clone()))
-        .collect();
     assert_eq!(
-        render_jsonl(&relabeled),
+        render_jsonl(&decoded.runs),
         text,
         "mcdt → JSONL must be byte-identical"
     );
