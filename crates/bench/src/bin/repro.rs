@@ -31,12 +31,14 @@
 //!
 //! The sweep is fault-isolated: an experiment that panics, reports a
 //! typed error, or (with `--run-timeout SECS`) exceeds its wall-clock
-//! budget does not stop the others. Transient failures (panics and
-//! timeouts) are retried once. The sweep finishes everything it can,
-//! prints a failure table naming what it could not, and exits nonzero if
-//! anything failed. With `--checkpoint DIR`, each completed experiment is
-//! recorded on the spot; `--resume` replays recorded entries instead of
-//! re-running them, regenerating byte-identical reports (DESIGN.md §7).
+//! budget does not stop the others. An experiment over budget is
+//! stopped, not abandoned: its simulations end at their next chunk
+//! boundary. Transient failures (panics and timeouts) are retried once.
+//! The sweep finishes everything it can, prints a failure table naming
+//! what it could not, and exits nonzero if anything failed. With
+//! `--checkpoint DIR`, each completed experiment is recorded on the
+//! spot; `--resume` replays recorded entries instead of re-running them,
+//! regenerating byte-identical reports (DESIGN.md §7).
 //!
 //! `repro trace analyze FILE` consumes a `--trace-out` file offline
 //! (deviation episodes, reaction-time distributions, a per-domain
@@ -55,7 +57,7 @@ use std::time::{Duration, Instant};
 use mcd_bench::checkpoint::{write_file, CheckpointDir, CompletedRun};
 use mcd_bench::error::RunError;
 use mcd_bench::experiments;
-use mcd_bench::parallel::par_try_map;
+use mcd_bench::parallel::{isolated, par_map};
 use mcd_bench::runner::{ControllerActivity, RunConfig, RunSet};
 use mcd_bench::table::Table;
 use mcd_bench::trace_analyze;
@@ -75,7 +77,8 @@ fn usage() -> String {
          boundaries (0 disables; reports are byte-identical either way);\n\
          --shard-secs S picks the shard length from a target segment wall time.\n\
          --trace-out writes JSON lines, or the binary flight-recorder format when the\n\
-         file ends in .mcdt (anchors for `trace replay` need sharding, e.g. --shard-ops).",
+         file ends in .mcdt (anchors for `trace replay` need sharding, e.g. --shard-ops).\n\
+         --run-timeout SECS stops an experiment attempt that runs longer (one retry).",
         experiments::ALL.join(", ")
     )
 }
@@ -790,11 +793,12 @@ fn main() -> ExitCode {
                     eprintln!("--run-timeout needs seconds\n{}", usage());
                     return ExitCode::FAILURE;
                 };
-                if !(secs > 0.0 && secs.is_finite()) {
+                let budget = Duration::try_from_secs_f64(secs).ok();
+                let Some(budget) = budget.filter(|b| !b.is_zero()) else {
                     eprintln!("--run-timeout needs positive seconds\n{}", usage());
                     return ExitCode::FAILURE;
-                }
-                run_timeout = Some(Duration::from_secs_f64(secs));
+                };
+                run_timeout = Some(budget);
             }
             "--jobs" => {
                 i += 1;
@@ -897,45 +901,46 @@ fn main() -> ExitCode {
     // long tail run no longer strands the other cores. Per-experiment
     // numbers come from tag attribution, not counter deltas, so they
     // stay honest while experiments interleave. The isolation lives in
-    // par_try_map: panic capture, the optional per-run wall-clock
-    // budget, and one retry for transient failures (reset_tag keeps a
-    // retried attempt from double-charging its first try).
-    let sweep_cfg = cfg.clone();
-    let sweep_ck = checkpoint.clone();
+    // `isolated`: panic capture, the optional per-attempt wall-clock
+    // budget (the pool's workers inherit the deadline with the tag), and
+    // one retry for transient failures (reset_tag keeps a retried
+    // attempt from double-charging its first try).
     let drivers = jobs.min(pending.len()).max(1);
-    let results = par_try_map(drivers, pending.clone(), run_timeout, move |(_, id)| {
-        rs.reset_tag(id);
-        let start = Instant::now();
-        let report = rs.with_tag(id, || experiments::run_on(rs, id, &sweep_cfg))?;
-        let driver_wall_s = start.elapsed().as_secs_f64();
-        let kind = experiments::kind(id).expect("ids are validated against ALL");
-        let tag = rs.tag_stats(id);
-        // Simulation experiments report the machine time their runs
-        // actually consumed (the driver's elapsed clock would include
-        // other experiments' runs interleaving on the shared pool);
-        // analysis experiments do no pool work, so the driver clock is
-        // the honest figure.
-        let wall_s = if kind == experiments::Kind::Simulation && tag.compute_us > 0 {
-            tag.wall_s()
-        } else {
-            driver_wall_s
-        };
-        let run = CompletedRun {
-            report,
-            kind: kind.label().to_string(),
-            wall_s,
-            runs: tag.runs,
-            instructions: tag.instructions,
-            baseline_requests: tag.baseline_requests,
-            events_processed: tag.events_processed,
-            cycles_skipped: tag.cycles_skipped,
-            run_wall_p50_s: tag.run_wall_p50_s(),
-            run_wall_p99_s: tag.run_wall_p99_s(),
-        };
-        if let Some(ck) = &sweep_ck {
-            ck.store(id, &run)?;
-        }
-        Ok(run)
+    let results = par_map(drivers, pending.clone(), |(_, id)| {
+        isolated(run_timeout, || {
+            rs.reset_tag(id);
+            let start = Instant::now();
+            let report = rs.with_tag(id, || experiments::run_on(rs, id, &cfg))?;
+            let driver_wall_s = start.elapsed().as_secs_f64();
+            let kind = experiments::kind(id).expect("ids are validated against ALL");
+            let tag = rs.tag_stats(id);
+            // Simulation experiments report the machine time their runs
+            // actually consumed (the driver's elapsed clock would include
+            // other experiments' runs interleaving on the shared pool);
+            // analysis experiments do no pool work, so the driver clock
+            // is the honest figure.
+            let wall_s = if kind == experiments::Kind::Simulation && tag.compute_us > 0 {
+                tag.wall_s()
+            } else {
+                driver_wall_s
+            };
+            let run = CompletedRun {
+                report,
+                kind: kind.label().to_string(),
+                wall_s,
+                runs: tag.runs,
+                instructions: tag.instructions,
+                baseline_requests: tag.baseline_requests,
+                events_processed: tag.events_processed,
+                cycles_skipped: tag.cycles_skipped,
+                run_wall_p50_s: tag.run_wall_p50_s(),
+                run_wall_p99_s: tag.run_wall_p99_s(),
+            };
+            if let Some(ck) = &checkpoint {
+                ck.store(id, &run)?;
+            }
+            Ok(run)
+        })
     });
     for ((n, _), result) in pending.into_iter().zip(results) {
         outcomes[n] = Some(result);

@@ -5,7 +5,7 @@
 use mcd_power::DvfsStyle;
 
 use crate::error::RunError;
-use crate::runner::{pct, Outcome, RunConfig, RunSet, Scheme};
+use crate::runner::{pct, run_machine, Outcome, RunConfig, RunSet, Scheme};
 use crate::table::Table;
 
 /// A small representative benchmark set (one per behaviour class).
@@ -99,7 +99,7 @@ pub fn run_step(rs: &RunSet, cfg: &RunConfig) -> Result<String, RunError> {
                 "ablate-step|{n}|style={style:?}|step={step}|ops={}|seed={}",
                 c.ops, c.seed
             );
-            let run = rs.run_custom(&label, |sink| Ok(m.try_run_traced(sink)?))?;
+            let run = rs.run_custom(&label, |sink| run_machine(m, sink))?;
             Ok(Outcome::versus(&run, &base))
         })
         .into_iter()

@@ -9,7 +9,7 @@ use mcd_sim::{DomainId, Machine, SimResult, SyncModel};
 use mcd_workloads::{registry, synthetic, TraceGenerator, VariabilityClass};
 
 use crate::error::RunError;
-use crate::runner::{controller_for, pct, Outcome, RunConfig, RunSet, Scheme};
+use crate::runner::{controller_for, pct, run_machine, Outcome, RunConfig, RunSet, Scheme};
 use crate::table::Table;
 
 /// Runs a spec (not necessarily registered) under a scheme, sharded at
@@ -177,9 +177,9 @@ pub fn run_centralized(rs: &RunSet, cfg: &RunConfig) -> Result<String, RunError>
             let cen_result = rs.run_custom(&label, |sink| {
                 let trace = TraceGenerator::try_new(&spec, cfg.ops, cfg.seed)
                     .map_err(RunError::Workload)?;
-                Ok(Machine::try_new(cfg.sim.clone(), trace)?
-                    .with_controllers(coordinated_controllers())
-                    .try_run_traced(sink)?)
+                let m = Machine::try_new(cfg.sim.clone(), trace)?
+                    .with_controllers(coordinated_controllers());
+                run_machine(m, sink)
             })?;
             let cen = Outcome::versus(&cen_result, &base);
             Ok((name, dec, cen))
@@ -250,7 +250,7 @@ pub fn run_static(rs: &RunSet, cfg: &RunConfig) -> Result<String, RunError> {
                             Box::new(FixedOperatingPoint(points[dd.backend_index()])),
                         );
                     }
-                    Ok(m.try_run_traced(sink)?)
+                    run_machine(m, sink)
                 })
             };
             // Greedy per-domain search (domains are weakly coupled, Section 3).

@@ -10,7 +10,9 @@
 //! * `fig7=panic-once` — panic on the first attempt only, so the
 //!   harness's single retry succeeds (a transient failure).
 //! * `table3=delay:200` — sleep 200 ms before the experiment body, long
-//!   enough to trip a small `--run-timeout` budget.
+//!   enough to trip a small `--run-timeout` budget. Like a simulation,
+//!   the delay honours the installed deadline: it sleeps only until the
+//!   deadline and then fails with `RunError::Timeout`.
 //!
 //! Keys that match nothing are ignored, so one `MCD_FAULTS` value can
 //! drive a whole sweep.
@@ -19,6 +21,7 @@
 mod imp {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
+    use std::time::{Duration, Instant};
 
     use crate::error::RunError;
 
@@ -61,7 +64,14 @@ mod imp {
                     let ms: u64 = ms.parse().map_err(|_| {
                         RunError::Config(format!("bad MCD_FAULTS delay {other:?} for {key}"))
                     })?;
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    let delay = Duration::from_millis(ms);
+                    let deadline = crate::steal::current_deadline();
+                    let left =
+                        deadline.map_or(delay, |d| d.at.saturating_duration_since(Instant::now()));
+                    std::thread::sleep(delay.min(left));
+                    if let Some(d) = deadline {
+                        d.check()?;
+                    }
                 }
             }
         }

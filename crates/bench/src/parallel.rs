@@ -9,19 +9,22 @@
 //! of which worker finished first or when. A parallel experiment
 //! therefore renders byte-identical reports to a serial one.
 //!
-//! [`par_try_map`] is its hardened sibling for sweeps that must survive
-//! individual failures: each item runs under panic isolation and an
-//! optional wall-clock budget, transient failures are retried once, and
-//! the caller always gets one ordered slot per item — `Ok` results for
-//! everything that completed plus a typed [`RunError`] for everything
-//! that did not (DESIGN.md §7).
+//! [`isolated`] is the one run-isolation policy: it wraps a unit of
+//! work on the caller's thread with panic capture, an optional
+//! wall-clock budget and one retry for transient failures, and turns
+//! every outcome into a typed [`RunError`] (DESIGN.md §7). It spawns no
+//! thread: the budget travels as a [`Deadline`] that simulations check
+//! between chunks, so a timed-out run stops instead of running on.
+//! A sweep that must survive individual failures composes the two:
+//! `par_map(jobs, items, |item| isolated(budget, || work(item)))`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::error::{panic_message, RunError};
+use crate::steal::{self, Deadline};
 
 /// The worker count used when the caller does not specify one.
 pub fn default_jobs() -> usize {
@@ -79,81 +82,34 @@ where
         .collect()
 }
 
-/// One isolated attempt at `f(item)`: panics become
-/// [`RunError::Panicked`]; with a budget, the attempt runs on its own
-/// thread and [`RunError::Timeout`] is returned if it does not answer in
-/// time (the stuck thread is deliberately left behind — there is no safe
-/// way to cancel it, and the process exits after the sweep anyway).
-fn attempt<T, R, F>(f: &Arc<F>, item: T, timeout: Option<Duration>) -> Result<R, RunError>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, RunError> + Send + Sync + 'static,
-{
-    match timeout {
-        None => catch_unwind(AssertUnwindSafe(|| f(item)))
-            .unwrap_or_else(|p| Err(RunError::Panicked(panic_message(&*p)))),
-        Some(budget) => {
-            let (tx, rx) = mpsc::channel();
-            let f = Arc::clone(f);
-            let handle = std::thread::Builder::new()
-                .name("mcd-bench-run".into())
-                .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| f(item)))
-                        .unwrap_or_else(|p| Err(RunError::Panicked(panic_message(&*p))));
-                    let _ = tx.send(r);
-                })
-                .expect("spawn run worker");
-            match rx.recv_timeout(budget) {
-                Ok(r) => {
-                    let _ = handle.join();
-                    r
-                }
-                Err(_) => Err(RunError::Timeout {
-                    limit_ms: budget.as_millis() as u64,
-                }),
-            }
-        }
-    }
-}
-
-/// Fault-isolated sibling of [`par_map`]: applies `f` to every item on up
-/// to `jobs` threads, returning one ordered `Result` slot per item.
-///
-/// Guarantees, in order of importance:
+/// Runs `f` on the calling thread as one isolated unit of work — an
+/// experiment in a `repro` sweep, a request in `mcd-serve`.
 ///
 /// * **Isolation** — a panic in `f` is caught and becomes
-///   [`RunError::Panicked`] for that slot only; every other item still
-///   runs to completion.
-/// * **Budget** — with `timeout = Some(d)`, each *attempt* gets `d` of
-///   wall-clock; overruns become [`RunError::Timeout`] (the wedged thread
-///   is detached, not joined).
+///   [`RunError::Panicked`].
+/// * **Budget** — with `budget = Some(d)`, each *attempt* runs under a
+///   [`Deadline`] `d` from its start (an earlier deadline already
+///   installed on this thread still wins; a budget too large for the
+///   clock means none). Every simulation the attempt starts, here or on
+///   a pool worker, stops at its next chunk boundary past the deadline
+///   and returns [`RunError::Timeout`]; nothing is left running.
 /// * **Retry** — a transient first failure ([`RunError::is_transient`]:
-///   panics and timeouts) is retried exactly once; typed errors are
-///   deterministic and fail immediately. The item must be `Clone` so the
-///   retry can re-present it.
-///
-/// The happy path returns exactly what [`par_map`] would, in the same
-/// order — callers pay nothing in output stability for the isolation.
-pub fn par_try_map<T, R, F>(
-    jobs: usize,
-    items: Vec<T>,
-    timeout: Option<Duration>,
-    f: F,
-) -> Vec<Result<R, RunError>>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> Result<R, RunError> + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    par_map(jobs, items, move |item| {
-        match attempt(&f, item.clone(), timeout) {
-            Ok(r) => Ok(r),
-            Err(e) if e.is_transient() => attempt(&f, item, timeout),
-            Err(e) => Err(e),
-        }
-    })
+///   panics and timeouts) is retried exactly once, with a fresh
+///   deadline; typed errors are deterministic and fail immediately.
+pub fn isolated<R>(
+    budget: Option<Duration>,
+    f: impl Fn() -> Result<R, RunError>,
+) -> Result<R, RunError> {
+    let once = || {
+        steal::with_deadline(budget.and_then(Deadline::after), || {
+            catch_unwind(AssertUnwindSafe(&f))
+                .unwrap_or_else(|p| Err(RunError::Panicked(panic_message(&*p))))
+        })
+    };
+    match once() {
+        Err(e) if e.is_transient() => once(),
+        done => done,
+    }
 }
 
 #[cfg(test)]
@@ -205,23 +161,22 @@ mod tests {
     }
 
     #[test]
-    fn try_map_happy_path_matches_par_map() {
-        let out = par_try_map(4, (0u64..20).collect(), None, |i| Ok(i * 3));
-        assert_eq!(
-            out,
-            (0u64..20)
-                .map(|i| Ok(i * 3))
-                .collect::<Vec<Result<u64, RunError>>>()
-        );
+    fn isolated_passes_results_through() {
+        assert_eq!(isolated(None, || Ok(7)), Ok(7));
+        assert_eq!(isolated(Some(Duration::from_secs(60)), || Ok(7)), Ok(7));
+        // A budget past the clock's range means no deadline, not a panic.
+        assert_eq!(isolated(Some(Duration::MAX), || Ok(7)), Ok(7));
     }
 
     #[test]
-    fn a_panicking_item_fails_alone() {
-        let out = par_try_map(4, (0u32..8).collect(), None, |i| {
-            if i == 3 {
-                panic!("item three exploded");
-            }
-            Ok(i)
+    fn a_panic_becomes_a_typed_failure() {
+        let out = par_map(4, (0u32..8).collect(), |i| {
+            isolated(None, || {
+                if i == 3 {
+                    panic!("item three exploded");
+                }
+                Ok(i)
+            })
         });
         for (i, slot) in out.iter().enumerate() {
             if i == 3 {
@@ -234,43 +189,61 @@ mod tests {
 
     #[test]
     fn transient_failures_are_retried_once() {
-        // Panics on every first sighting of an item, succeeds on retry.
-        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let s = Arc::clone(&seen);
-        let out = par_try_map(2, vec![10u32, 20, 30], None, move |i| {
-            if s.lock().unwrap().insert(i) {
-                panic!("first attempt of {i}");
+        // Panics on the first attempt, succeeds on the retry.
+        let attempts = AtomicU32::new(0);
+        let out = isolated(None, || {
+            if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("first attempt");
             }
-            Ok(i)
+            Ok(10)
         });
-        assert_eq!(out, vec![Ok(10), Ok(20), Ok(30)]);
+        assert_eq!(out, Ok(10));
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
+        // A second transient failure is final.
+        let attempts = AtomicU32::new(0);
+        let out = isolated(None, || -> Result<(), RunError> {
+            attempts.fetch_add(1, Ordering::Relaxed);
+            panic!("every attempt");
+        });
+        assert_eq!(out, Err(RunError::Panicked("every attempt".into())));
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn permanent_errors_are_not_retried() {
-        let attempts = Arc::new(AtomicU32::new(0));
-        let a = Arc::clone(&attempts);
-        let out = par_try_map(1, vec![()], None, move |()| -> Result<(), RunError> {
-            a.fetch_add(1, Ordering::Relaxed);
+        let attempts = AtomicU32::new(0);
+        let out = isolated(None, || -> Result<(), RunError> {
+            attempts.fetch_add(1, Ordering::Relaxed);
             Err(RunError::Config("structurally broken".into()))
         });
-        assert_eq!(
-            out,
-            vec![Err(RunError::Config("structurally broken".into()))]
-        );
+        assert_eq!(out, Err(RunError::Config("structurally broken".into())));
         assert_eq!(attempts.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn overrunning_items_time_out_while_others_finish() {
-        let out = par_try_map(4, vec![1u32, 2, 3], Some(Duration::from_millis(100)), |i| {
-            if i == 2 {
-                std::thread::sleep(Duration::from_secs(5));
-            }
-            Ok(i)
+        // Item 2 polls the installed deadline the way a simulation does
+        // between chunks; each of its attempts gets its own 50 ms.
+        let attempts = AtomicU32::new(0);
+        let start = std::time::Instant::now();
+        let out = par_map(3, vec![1u32, 2, 3], |i| {
+            isolated(Some(Duration::from_millis(50)), || {
+                if i == 2 {
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                    let deadline = steal::current_deadline().expect("installed");
+                    loop {
+                        deadline.check()?;
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Ok(i)
+            })
         });
         assert_eq!(out[0], Ok(1));
-        assert_eq!(out[1], Err(RunError::Timeout { limit_ms: 100 }));
+        assert_eq!(out[1], Err(RunError::Timeout { limit_ms: 50 }));
         assert_eq!(out[2], Ok(3));
+        assert_eq!(attempts.load(Ordering::Relaxed), 2, "retried once");
+        assert!(start.elapsed() >= Duration::from_millis(100));
+        assert_eq!(steal::current_deadline(), None, "the deadline is removed");
     }
 }

@@ -277,6 +277,58 @@ fn record_segment(start: Instant) {
     SEGMENT_WALLS.with(|w| w.borrow_mut().push(us));
 }
 
+/// Retired instructions between two checks of the installed
+/// [`steal::Deadline`]: a few milliseconds of simulation, so a timed-out
+/// run stops soon after its budget runs out. Chunk boundaries only pause
+/// the event loop — no snapshot, anchor or wall sample — and segmenting
+/// a run is bit-identical to running it in one piece.
+const DEADLINE_CHUNK_OPS: u64 = 4_096;
+
+/// Advances `machine` until the trace drains (`Ok(true)`) or `boundary`
+/// instructions have retired (`Ok(false)`), exactly like
+/// [`Machine::try_advance_traced`] — but with a deadline installed on
+/// this thread, in [`DEADLINE_CHUNK_OPS`] chunks, returning
+/// [`RunError::Timeout`] at the first chunk boundary past it.
+fn advance<T>(
+    machine: &mut Machine<T>,
+    boundary: u64,
+    sink: &mut dyn TraceSink,
+) -> Result<bool, RunError>
+where
+    T: Iterator<Item = MicroOp> + SnapshotSource,
+{
+    let Some(deadline) = steal::current_deadline() else {
+        return Ok(machine.try_advance_traced(boundary, sink)?);
+    };
+    loop {
+        deadline.check()?;
+        let chunk = machine
+            .retired()
+            .saturating_add(DEADLINE_CHUNK_OPS)
+            .min(boundary);
+        if machine.try_advance_traced(chunk, sink)? {
+            return Ok(true);
+        }
+        if machine.retired() >= boundary {
+            return Ok(false);
+        }
+    }
+}
+
+/// Runs a caller-built machine to completion — the deadline-checked
+/// equivalent of [`Machine::try_run_traced`], for custom runs (ad-hoc
+/// controllers, synthetic specs) passed to [`RunSet::run_custom`].
+pub fn run_machine<T>(
+    mut machine: Machine<T>,
+    sink: &mut dyn TraceSink,
+) -> Result<SimResult, RunError>
+where
+    T: Iterator<Item = MicroOp> + SnapshotSource,
+{
+    advance(&mut machine, u64::MAX, sink)?;
+    Ok(machine.finish_traced(sink))
+}
+
 /// Runs a machine to completion in `shard_ops`-instruction segments,
 /// round-tripping the full engine state through a serialized snapshot at
 /// every boundary. The result and the event stream written to `sink` are
@@ -290,6 +342,10 @@ fn record_segment(start: Instant) {
 /// latest boundary for its key and saves each boundary it passes; warm
 /// resume is skipped when `sink` is live, since events before the resume
 /// point would be missing from the stream.
+///
+/// With a deadline installed on this thread (see
+/// [`crate::parallel::isolated`]), the run stops with
+/// [`RunError::Timeout`] at the first chunk boundary past it.
 pub fn run_sharded<T, F>(
     shard_ops: Option<u64>,
     warm: Option<(&SnapStore, &str)>,
@@ -302,7 +358,7 @@ where
 {
     let Some(shard) = shard_ops.filter(|&s| s > 0) else {
         let start = Instant::now();
-        let result = build()?.try_run_traced(sink)?;
+        let result = run_machine(build()?, sink)?;
         record_segment(start);
         return Ok(result);
     };
@@ -321,7 +377,7 @@ where
     loop {
         let start = Instant::now();
         let boundary = machine.retired() + shard;
-        if machine.try_advance_traced(boundary, sink)? {
+        if advance(&mut machine, boundary, sink)? {
             let result = machine.finish_traced(sink);
             record_segment(start);
             return Ok(result);
@@ -647,7 +703,9 @@ impl std::fmt::Debug for TapSlot {
 }
 
 /// One memoized baseline slot: filled exactly once, shared by every
-/// requester, and remembering failure as faithfully as success.
+/// requester, and remembering a deterministic failure as faithfully as
+/// success (a transient one retires the slot instead; see
+/// [`RunSet::baseline`]).
 type BaselineSlot = Arc<OnceLock<Result<Arc<SimResult>, RunError>>>;
 
 /// A family of simulation runs sharing a worker pool and a memoized
@@ -815,14 +873,7 @@ impl RunSet {
     /// [`RunSet::tag_stats`]). The previous tag is restored even if `f`
     /// panics.
     pub fn with_tag<R>(&self, tag: &'static str, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<&'static str>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                steal::set_current_tag(self.0);
-            }
-        }
-        let _restore = Restore(steal::set_current_tag(Some(tag)));
-        f()
+        steal::with_tag(Some(tag), f)
     }
 
     /// Clears `tag`'s attribution. The drivers call this before each
@@ -911,7 +962,7 @@ impl RunSet {
         }
         let simulate = Mutex::new(Some(simulate));
         let slot = Mutex::new(None);
-        self.pool.scope(1, steal::current_tag(), &|_| {
+        self.pool.scope(1, &|_| {
             let f = simulate
                 .lock()
                 .expect("simulate slot poisoned")
@@ -1086,7 +1137,11 @@ impl RunSet {
     /// Concurrent requests for the same key simulate it exactly once
     /// (later arrivals block on the in-flight computation). A failed
     /// baseline is memoized too — the failure is deterministic, so every
-    /// requester sees the same typed error without re-simulating.
+    /// requester sees the same typed error without re-simulating. A
+    /// transient failure is not: a compute cancelled by its requester's
+    /// deadline retires its slot, so the next lookup recomputes, and a
+    /// requester handed another's timeout while its own deadline is still
+    /// open looks up again.
     ///
     /// Every call counts one `baseline_request`, globally and against
     /// the caller's tag; the memoized compute itself is charged to the
@@ -1103,29 +1158,40 @@ impl RunSet {
                 .or_default()
                 .baseline_requests += 1;
         }
-        let cell = {
-            let mut map = self.baselines.lock().expect("baseline cache poisoned");
-            map.entry(Self::baseline_key(benchmark, cfg))
-                .or_default()
-                .clone()
-        };
-        cell.get_or_init(|| {
-            struct Restore(Option<&'static str>);
-            impl Drop for Restore {
-                fn drop(&mut self) {
-                    steal::set_current_tag(self.0);
-                }
+        let key = Self::baseline_key(benchmark, cfg);
+        loop {
+            let cell = {
+                let mut map = self.baselines.lock().expect("baseline cache poisoned");
+                map.entry(key.clone()).or_default().clone()
+            };
+            let result = cell
+                .get_or_init(|| {
+                    let result = steal::with_tag(None, || {
+                        let _span = self.profiler.span("baseline");
+                        let label = Self::run_label(benchmark, Scheme::Baseline, cfg);
+                        self.register_spec(&label, benchmark, Scheme::Baseline, cfg);
+                        self.simulate(&label, |sink| {
+                            run_traced(benchmark, Scheme::Baseline, cfg, sink)
+                        })
+                        .map(Arc::new)
+                    });
+                    if result.as_ref().is_err_and(RunError::is_transient) {
+                        // Retire the slot before it is filled, so no
+                        // later lookup can find the transient error.
+                        let mut map = self.baselines.lock().expect("baseline cache poisoned");
+                        if map.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+                            map.remove(&key);
+                        }
+                    }
+                    result
+                })
+                .clone();
+            let still_open = steal::current_deadline().is_none_or(|d| d.check().is_ok());
+            match result {
+                Err(e) if e.is_transient() && still_open => continue,
+                done => return done,
             }
-            let _untagged = Restore(steal::set_current_tag(None));
-            let _span = self.profiler.span("baseline");
-            let label = Self::run_label(benchmark, Scheme::Baseline, cfg);
-            self.register_spec(&label, benchmark, Scheme::Baseline, cfg);
-            self.simulate(&label, |sink| {
-                run_traced(benchmark, Scheme::Baseline, cfg, sink)
-            })
-            .map(Arc::new)
-        })
-        .clone()
+        }
     }
 
     /// Runs `benchmark` under `scheme`, counting it toward the set's
@@ -1146,8 +1212,8 @@ impl RunSet {
 
     /// Runs a caller-built simulation (custom controllers, synthetic
     /// specs) so it still counts toward the set's statistics; the closure
-    /// receives the sink to thread into [`Machine::try_run_traced`], and
-    /// `label` names the run's event trace.
+    /// receives the sink to thread into [`run_machine`], and `label`
+    /// names the run's event trace.
     pub fn run_custom(
         &self,
         label: &str,
@@ -1172,7 +1238,7 @@ impl RunSet {
         let inputs: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-        self.pool.scope(inputs.len(), steal::current_tag(), &|i| {
+        self.pool.scope(inputs.len(), &|i| {
             let item = inputs[i]
                 .lock()
                 .expect("par input slot poisoned")
@@ -1333,6 +1399,59 @@ mod tests {
             "every lookup counts, memoized or not"
         );
         assert_eq!(rs.stats().runs, 0, "failed runs are not counted");
+    }
+
+    /// Signals once, from inside the first simulation that consults it.
+    struct FirstEvent(Mutex<Option<std::sync::mpsc::Sender<()>>>);
+
+    impl EventTap for FirstEvent {
+        fn wants(&self, _label: &str) -> bool {
+            if let Some(started) = self.0.lock().expect("signal poisoned").take() {
+                started.send(()).expect("the test is listening");
+            }
+            false
+        }
+
+        fn record(&self, _label: &str, _event: &TraceEvent) {}
+    }
+
+    #[test]
+    fn a_cancelled_baseline_is_recomputed_not_memoized() {
+        use std::time::Duration;
+        let budget = Duration::from_millis(100);
+        let cancelled = RunError::Timeout { limit_ms: 100 };
+        let under_deadline = |rs: &RunSet, cfg: &RunConfig| {
+            steal::with_deadline(steal::Deadline::after(budget), || rs.baseline("gzip", cfg))
+        };
+        let (started, leading) = std::sync::mpsc::channel();
+        let rs = RunSet::new(2).with_event_tap(Arc::new(FirstEvent(Mutex::new(Some(started)))));
+        let cfg = RunConfig::quick().with_ops(400_000);
+        let direct = run("gzip", Scheme::Baseline, &cfg).expect("direct run");
+
+        // Two requesters of one baseline: the first leads the compute and
+        // its deadline expires mid-run; the second, arriving once that
+        // compute is simulating and with no deadline of its own, must
+        // still get the result rather than the leader's timeout.
+        let (leader, follower) = std::thread::scope(|s| {
+            let leader = s.spawn(|| under_deadline(&rs, &cfg));
+            leading.recv().expect("the leader's compute started");
+            let follower = rs.baseline("gzip", &cfg);
+            (leader.join().expect("leader"), follower)
+        });
+        assert_eq!(leader.unwrap_err(), cancelled);
+        assert_eq!(
+            fingerprint(&follower.expect("the follower recomputes")),
+            fingerprint(&direct)
+        );
+        assert_eq!(rs.stats().runs, 1, "only the completed compute counts");
+
+        // A cancelled compute leaves no memo entry behind: the next
+        // lookup recomputes instead of reading the timeout.
+        let other = cfg.clone().with_ops(300_000);
+        assert_eq!(under_deadline(&rs, &other).unwrap_err(), cancelled);
+        assert!(rs.baseline("gzip", &other).is_ok(), "recomputed");
+        assert_eq!(rs.stats().runs, 2);
+        assert_eq!(rs.stats().baseline_requests, 4);
     }
 
     /// Bit-stable fingerprint of a result: `Debug` renders `f64` as its

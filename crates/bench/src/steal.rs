@@ -15,9 +15,14 @@
 //!
 //! Submitters block until their batch completes, so a batch closure may
 //! borrow from the submitting stack — the same guarantee scoped threads
-//! give. The lifetime erasure that makes this expressible across a
-//! long-lived pool is the one use of `unsafe` in this crate; the
-//! soundness argument lives on [`StealPool::scope`].
+//! give. A batch also carries its submitter's context — the experiment
+//! tag its runs are charged to and the [`Deadline`] they stop at — and
+//! each worker wears that context for the duration of every item it
+//! claims, so a budget installed by [`crate::parallel::isolated`] on the
+//! submitting thread reaches every simulation the batch fans out. The
+//! lifetime erasure that makes this expressible across a long-lived pool
+//! is the one use of `unsafe` in this crate; the soundness argument
+//! lives on [`StealPool::scope`].
 
 #![allow(unsafe_code)]
 
@@ -27,14 +32,62 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use crate::error::RunError;
+
+/// The wall-clock instant a run attempt must stop by, and the budget it
+/// was derived from (reported in [`RunError::Timeout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    /// When the attempt's budget runs out.
+    pub at: Instant,
+    /// The budget, in milliseconds.
+    pub limit_ms: u64,
+}
+
+impl Deadline {
+    /// The deadline `budget` from now, or `None` when that instant is
+    /// beyond what the clock can represent (a budget that large never
+    /// expires).
+    pub fn after(budget: Duration) -> Option<Deadline> {
+        Some(Deadline {
+            at: Instant::now().checked_add(budget)?,
+            limit_ms: budget.as_millis().min(u64::MAX as u128) as u64,
+        })
+    }
+
+    /// `Err(Timeout)` once the deadline has passed.
+    pub fn check(&self) -> Result<(), RunError> {
+        if Instant::now() >= self.at {
+            Err(RunError::Timeout {
+                limit_ms: self.limit_ms,
+            })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// What a batch inherits from its submitter and every worker wears
+/// while running one of its items.
+#[derive(Debug, Clone, Copy)]
+struct Context {
+    tag: Option<&'static str>,
+    deadline: Option<Deadline>,
+}
 
 thread_local! {
     /// Whether this thread is a pool worker (see [`on_worker`]).
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The experiment tag charged for work submitted from this thread
-    /// (see [`current_tag`]). Workers inherit the submitter's tag for
-    /// the duration of each claimed item.
-    static CURRENT_TAG: Cell<Option<&'static str>> = const { Cell::new(None) };
+    /// The tag and deadline for work started from this thread (see
+    /// [`current_tag`] and [`current_deadline`]).
+    static CONTEXT: Cell<Context> = const {
+        Cell::new(Context {
+            tag: None,
+            deadline: None,
+        })
+    };
 }
 
 /// Whether the current thread is a pool worker. Fan-out *inside* a batch
@@ -49,13 +102,47 @@ pub fn on_worker() -> bool {
 /// thread. Set by `RunSet::with_tag` on submitter threads and inherited
 /// by workers per claimed item.
 pub fn current_tag() -> Option<&'static str> {
-    CURRENT_TAG.with(Cell::get)
+    CONTEXT.with(Cell::get).tag
 }
 
-/// Replaces the current thread's tag, returning the previous value so
-/// callers can restore it.
-pub fn set_current_tag(tag: Option<&'static str>) -> Option<&'static str> {
-    CURRENT_TAG.with(|t| t.replace(tag))
+/// Runs `f` with `tag` as this thread's experiment tag, restoring the
+/// previous tag afterwards, even if `f` panics.
+pub fn with_tag<R>(tag: Option<&'static str>, f: impl FnOnce() -> R) -> R {
+    with_context(|c| c.tag = tag, f)
+}
+
+/// The deadline simulations started from this thread stop at. Installed
+/// by [`crate::parallel::isolated`] on the submitter and inherited by
+/// workers per claimed item.
+pub fn current_deadline() -> Option<Deadline> {
+    CONTEXT.with(Cell::get).deadline
+}
+
+/// Runs `f` with `deadline` installed on this thread — or the deadline
+/// already installed, if that one is earlier — restoring the previous
+/// deadline afterwards, even if `f` panics.
+pub(crate) fn with_deadline<R>(deadline: Option<Deadline>, f: impl FnOnce() -> R) -> R {
+    with_context(
+        |c| c.deadline = c.deadline.into_iter().chain(deadline).min_by_key(|d| d.at),
+        f,
+    )
+}
+
+/// Runs `f` with this thread's context edited by `edit`, restoring the
+/// previous context afterwards, even if `f` panics.
+fn with_context<R>(edit: impl FnOnce(&mut Context), f: impl FnOnce() -> R) -> R {
+    struct Restore(Context);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CONTEXT.with(|c| c.set(self.0));
+        }
+    }
+    let prev = CONTEXT.with(Cell::get);
+    let mut next = prev;
+    edit(&mut next);
+    CONTEXT.with(|c| c.set(next));
+    let _restore = Restore(prev);
+    f()
 }
 
 /// A pointer to the submitter's `&(dyn Fn(usize) + Sync)` with its
@@ -89,8 +176,9 @@ struct Batch {
     /// the atomic is really a Cell the borrow checker accepts in an
     /// `Arc`.
     next: AtomicUsize,
-    /// Tag charged to this batch's items (see [`current_tag`]).
-    tag: Option<&'static str>,
+    /// The submitter's tag and deadline, worn by whichever worker runs
+    /// an item.
+    context: Context,
     done: Mutex<Completion>,
     finished: Condvar,
 }
@@ -142,6 +230,7 @@ impl StealPool {
     }
 
     /// Runs `f(0..len)` on the pool, blocking until every item finishes.
+    /// Workers run each item under the calling thread's tag and deadline.
     /// Item panics are replayed to the caller (first one wins) only
     /// after the whole batch completes. Called from a pool worker, the
     /// batch runs inline instead (see [`on_worker`]).
@@ -151,7 +240,7 @@ impl StealPool {
     /// decrementing `remaining`, and this function does not return until
     /// `remaining == 0` — so every dereference happens while `f` (and
     /// everything it borrows) is still pinned on this stack frame.
-    pub fn scope(&self, len: usize, tag: Option<&'static str>, f: &(dyn Fn(usize) + Sync)) {
+    pub fn scope(&self, len: usize, f: &(dyn Fn(usize) + Sync)) {
         if len == 0 {
             return;
         }
@@ -168,7 +257,7 @@ impl StealPool {
             run,
             len,
             next: AtomicUsize::new(0),
-            tag,
+            context: CONTEXT.with(Cell::get),
             done: Mutex::new(Completion {
                 remaining: len,
                 panic: None,
@@ -243,11 +332,12 @@ fn worker_loop(state: &(Mutex<PoolState>, Condvar)) {
                 }
             }
         };
-        let prev = set_current_tag(batch.tag);
         // SAFETY: see `StealPool::scope` — the submitter is blocked
         // until we decrement `remaining` below, so the pointee is alive.
-        let outcome = catch_unwind(AssertUnwindSafe(|| (unsafe { &*batch.run.0 })(index)));
-        set_current_tag(prev);
+        let outcome = with_context(
+            |c| *c = batch.context,
+            || catch_unwind(AssertUnwindSafe(|| (unsafe { &*batch.run.0 })(index))),
+        );
         let mut done = batch.done.lock().expect("batch completion poisoned");
         if let Err(payload) = outcome {
             if done.panic.is_none() {
@@ -270,7 +360,7 @@ mod tests {
     fn scope_runs_every_index_exactly_once() {
         let pool = StealPool::new(4);
         let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
-        pool.scope(hits.len(), None, &|i| {
+        pool.scope(hits.len(), &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -281,7 +371,7 @@ mod tests {
     #[test]
     fn empty_batches_return_immediately() {
         let pool = StealPool::new(2);
-        pool.scope(0, None, &|_| panic!("no items, no calls"));
+        pool.scope(0, &|_| panic!("no items, no calls"));
     }
 
     #[test]
@@ -290,7 +380,7 @@ mod tests {
         let completed = Arc::new(AtomicU32::new(0));
         let c = Arc::clone(&completed);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(8, None, &|i| {
+            pool.scope(8, &|i| {
                 if i == 3 {
                     panic!("item three exploded");
                 }
@@ -312,9 +402,9 @@ mod tests {
         let i2 = Arc::clone(&inner);
         // One worker: a blocking nested submit would deadlock; inline
         // execution must finish instead.
-        pool.scope(1, None, &|_| {
+        pool.scope(1, &|_| {
             assert!(on_worker());
-            pool.scope(5, None, &|_| {
+            pool.scope(5, &|_| {
                 i2.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -330,7 +420,7 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 let ran = Arc::clone(&ran);
                 s.spawn(move || {
-                    pool.scope(10, None, &|_| {
+                    pool.scope(10, &|_| {
                         ran.fetch_add(1, Ordering::Relaxed);
                     });
                 });
@@ -340,13 +430,46 @@ mod tests {
     }
 
     #[test]
-    fn workers_carry_the_batch_tag() {
+    fn workers_carry_the_submitters_tag_and_deadline() {
         let pool = StealPool::new(2);
+        let deadline = Deadline::after(Duration::from_secs(60));
         let seen = Mutex::new(Vec::new());
-        pool.scope(4, Some("exp-a"), &|_| {
-            seen.lock().unwrap().push(current_tag());
+        with_tag(Some("exp-a"), || {
+            with_deadline(deadline, || {
+                pool.scope(4, &|_| {
+                    seen.lock()
+                        .unwrap()
+                        .push((current_tag(), current_deadline()));
+                });
+            })
         });
-        assert_eq!(*seen.lock().unwrap(), vec![Some("exp-a"); 4]);
-        assert_eq!(current_tag(), None, "the submitter's own tag is untouched");
+        assert_eq!(*seen.lock().unwrap(), vec![(Some("exp-a"), deadline); 4]);
+        assert_eq!(current_tag(), None, "the submitter's tag is restored");
+        assert_eq!(
+            current_deadline(),
+            None,
+            "the submitter's deadline is restored"
+        );
+        // A worker's next item wears that item's batch context, not the
+        // previous one's.
+        pool.scope(4, &|_| {
+            assert_eq!((current_tag(), current_deadline()), (None, None));
+        });
+    }
+
+    #[test]
+    fn the_earlier_deadline_wins_and_huge_budgets_never_expire() {
+        let near = Deadline::after(Duration::from_millis(10));
+        let far = Deadline::after(Duration::from_secs(60));
+        with_deadline(near, || {
+            with_deadline(far, || assert_eq!(current_deadline(), near));
+        });
+        with_deadline(far, || {
+            with_deadline(near, || assert_eq!(current_deadline(), near));
+            assert_eq!(current_deadline(), far);
+        });
+        assert_eq!(Deadline::after(Duration::MAX), None);
+        let expired = Deadline::after(Duration::ZERO).expect("representable");
+        assert_eq!(expired.check(), Err(RunError::Timeout { limit_ms: 0 }));
     }
 }

@@ -1,21 +1,23 @@
-//! Regression test for `par_try_map`'s detached overrunners.
+//! Thread-count contract of the run-isolation path.
 //!
-//! When an attempt overruns its wall-clock budget, the harness returns
-//! `RunError::Timeout` immediately and deliberately leaves the stuck
-//! attempt thread behind (there is no safe way to cancel it). That is
-//! fine for a one-shot sweep binary — but a long-lived process (the
-//! `mcd-serve` service) must be able to rely on those threads *exiting
-//! on their own* once their work completes, rather than accumulating.
+//! `parallel::isolated` runs its work on the caller's thread and enforces
+//! a wall-clock budget with a deadline that every simulation checks
+//! between fixed-length chunks, on whichever pool worker runs it. A run
+//! over budget therefore *stops* — it is not abandoned on a thread of its
+//! own — and returns `RunError::Timeout` within about one chunk of the
+//! deadline, per attempt.
 //!
-//! This suite pins that contract via `/proc/self/task`: after a batch of
-//! deliberate overruns, the process thread count returns to its
-//! pre-batch baseline. Everything lives in ONE `#[test]` function (its
-//! own integration binary) so no concurrent test perturbs the count.
+//! This suite pins both halves via `/proc/self/task`: the call returns
+//! `Timeout` within the stated bound, and at the moment it returns the
+//! process has exactly the threads it had before the call — checked with
+//! no waiting. Everything lives in ONE `#[test]` function (its own
+//! integration binary) so no concurrent test perturbs the count.
 
 use std::time::{Duration, Instant};
 
 use mcd_bench::error::RunError;
-use mcd_bench::parallel::par_try_map;
+use mcd_bench::parallel::isolated;
+use mcd_bench::runner::{RunConfig, RunSet, Scheme};
 
 /// Threads currently alive in this process (Linux).
 fn thread_count() -> usize {
@@ -24,85 +26,72 @@ fn thread_count() -> usize {
         .expect("/proc/self/task readable on Linux")
 }
 
-/// Polls until the thread count drops back to `baseline` (the detached
-/// sleepers exiting), failing after `patience`.
-fn await_baseline(baseline: usize, patience: Duration, what: &str) {
-    let deadline = Instant::now() + patience;
-    loop {
-        let now = thread_count();
-        if now <= baseline {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{what}: thread count stuck at {now}, baseline {baseline} — detached \
-             overrunners leaked"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// The per-attempt budget under test.
+const BUDGET: Duration = Duration::from_millis(50);
+
+/// Time allowed past the deadline before a simulation notices it: one
+/// chunk of a few thousand instructions (a few ms optimised, well under
+/// this unoptimised) plus the check that precedes it.
+const CHUNK_SLACK: Duration = Duration::from_millis(250);
+
+/// Runs `work` under `isolated(Some(budget))` and checks the contract:
+/// a `Timeout` within two attempts of budget plus chunk slack, and the
+/// thread count back at its pre-call value the moment the call returns.
+fn assert_stops_in_time<R: std::fmt::Debug>(
+    what: &str,
+    budget: Duration,
+    work: impl Fn() -> Result<R, RunError>,
+) {
+    let before = thread_count();
+    let start = Instant::now();
+    let result = isolated(Some(budget), work);
+    let elapsed = start.elapsed();
+    let after = thread_count();
+    assert_eq!(
+        result.unwrap_err(),
+        RunError::Timeout {
+            limit_ms: budget.as_millis() as u64
+        },
+        "{what}: the overrun must time out"
+    );
+    let bound = 2 * (budget + CHUNK_SLACK);
+    assert!(
+        elapsed <= bound,
+        "{what}: took {elapsed:?}, bound {bound:?} — the run was not stopped"
+    );
+    assert_eq!(
+        after, before,
+        "{what}: a thread started for the timed-out call is still alive"
+    );
 }
 
 #[test]
-fn detached_overrunners_exit_and_the_thread_count_returns_to_baseline() {
-    let baseline = thread_count();
+fn a_timed_out_run_stops_and_no_thread_outlives_the_call() {
+    // The run set's pool exists before the count is taken: the isolation
+    // path itself must start nothing, and the simulation it sent to the
+    // pool must have ended by the time the call returns.
+    let rs = RunSet::new(2);
+    let long = RunConfig::quick().with_ops(50_000_000);
+    assert_stops_in_time("pooled simulation", BUDGET, || {
+        rs.run("swim", Scheme::Adaptive, &long)
+    });
+    assert_eq!(rs.stats().runs, 0, "a stopped run is not counted");
 
-    // Phase 1: plain overrunners. Six items, each sleeping well past the
-    // 50 ms budget; the timeout is transient so each is retried once —
-    // up to twelve detached threads in flight right after the call.
-    let results = par_try_map(
-        3,
-        (0..6u64).collect(),
-        Some(Duration::from_millis(50)),
-        |i| {
-            std::thread::sleep(Duration::from_millis(400));
-            Ok::<u64, RunError>(i)
-        },
-    );
-    assert_eq!(
-        results.len(),
-        6,
-        "one ordered slot per item, even on timeout"
-    );
-    for r in &results {
-        assert!(
-            matches!(r, Err(RunError::Timeout { .. })),
-            "every overrunner times out: {r:?}"
-        );
-    }
-    await_baseline(baseline, Duration::from_secs(10), "plain overrunners");
-
-    // Phase 2: the same contract with the failure injected through the
-    // harness's own MCD_FAULTS hook, end to end through a real
-    // experiment. Only compiled under the `faults` CI job.
+    // The same contract with the failure injected through the harness's
+    // own MCD_FAULTS hook, end to end through a real experiment: the
+    // injected delay sleeps only until the deadline. Only compiled under
+    // the `faults` CI job.
     #[cfg(feature = "fault-inject")]
     {
         use mcd_bench::experiments;
-        use mcd_bench::runner::{RunConfig, RunSet};
 
-        let baseline = thread_count();
         std::env::set_var("MCD_FAULTS", "fig8=delay:300");
-        let mut cfg = RunConfig::quick();
-        cfg.ops = 4000;
-        let results = par_try_map(
-            2,
-            vec![("fig8", cfg.clone()), ("fig8", cfg)],
-            Some(Duration::from_millis(60)),
-            |(id, cfg)| {
-                let rs = RunSet::new(1);
-                experiments::run_on(&rs, id, &cfg).map(|_| ())
-            },
+        let cfg = RunConfig::quick().with_ops(4000);
+        assert_stops_in_time(
+            "fault-injected experiment",
+            Duration::from_millis(60),
+            || experiments::run_on(&rs, "fig8", &cfg),
         );
         std::env::remove_var("MCD_FAULTS");
-        for r in &results {
-            assert!(
-                matches!(r, Err(RunError::Timeout { .. })),
-                "the injected delay must trip the budget: {r:?}"
-            );
-        }
-        await_baseline(
-            baseline,
-            Duration::from_secs(15),
-            "fault-injected overrunners",
-        );
     }
 }

@@ -42,22 +42,27 @@ impl<T> Flight<T> {
     }
 
     /// Blocks until the leader publishes, or `timeout` elapses (`None`).
+    /// A timeout too large for the clock waits without a deadline.
     pub fn wait(&self, timeout: Duration) -> Option<Arc<T>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut slot = self.slot.lock().expect("flight slot poisoned");
         loop {
             if let Some(v) = slot.as_ref() {
                 return Some(Arc::clone(v));
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .expect("flight slot poisoned");
-            slot = guard;
+            slot = match deadline {
+                None => self.ready.wait(slot).expect("flight slot poisoned"),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.ready
+                        .wait_timeout(slot, deadline - now)
+                        .expect("flight slot poisoned")
+                        .0
+                }
+            };
         }
     }
 }
@@ -165,6 +170,24 @@ mod tests {
             panic!("second join must follow");
         };
         assert!(flight.wait(Duration::from_millis(30)).is_none());
+    }
+
+    #[test]
+    fn a_timeout_past_the_clocks_range_waits_for_the_leader() {
+        let c: Arc<Coalescer<u32>> = Arc::default();
+        assert!(matches!(c.join("k"), Ticket::Leader));
+        let Ticket::Follower(flight) = c.join("k") else {
+            panic!("second join must follow");
+        };
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                c.publish("k", Arc::new(9));
+            })
+        };
+        assert_eq!(*flight.wait(Duration::MAX).expect("published"), 9);
+        leader.join().expect("leader publishes");
     }
 
     #[test]

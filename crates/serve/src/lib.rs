@@ -80,8 +80,10 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Inner simulation parallelism per run ([`RunConfig`] fan-out).
     pub inner_jobs: usize,
-    /// Wall-clock budget per run attempt (`par_try_map` retries
-    /// transient failures once, so worst case is twice this).
+    /// Wall-clock budget per run attempt: an attempt over budget stops
+    /// at its next simulation chunk and answers 504. A timed-out attempt
+    /// is retried once, so the worst case is twice this. A budget too
+    /// large for the clock means no budget.
     pub run_timeout: Duration,
     /// Base run configuration; `/run` bodies override its swept knobs.
     pub base_cfg: RunConfig,

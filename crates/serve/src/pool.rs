@@ -10,8 +10,12 @@
 //! `Retry-After` onto the very connection it could not enqueue.
 //!
 //! Per-job isolation (panic capture, wall-clock budgets, retry) stays
-//! where it already lives: the run path executes each simulation through
-//! [`mcd_bench::parallel::par_try_map`].
+//! where it already lives: the run path wraps each execution in
+//! [`mcd_bench::parallel::isolated`] on the worker that claimed it, so a
+//! run over budget stops on that worker rather than on a thread of its
+//! own. This pool stays separate from `mcd_bench::steal::StealPool` on
+//! purpose: its submit never blocks and refuses work when full (the 503
+//! path), while a steal-pool submitter blocks until its batch is done.
 //!
 //! Shutdown is a drain, not an abort: [`Pool::close_and_drain`] stops
 //! accepting, lets workers finish everything already queued (every
@@ -184,7 +188,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::mpsc;
-    use std::time::Duration;
 
     #[test]
     fn items_run_and_drain_on_close() {
@@ -216,9 +219,7 @@ mod tests {
         });
         let h = pool.handle();
         h.submit(0).expect("blocker queues");
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker picked up the blocker");
+        started_rx.recv().expect("worker picked up the blocker");
         // Worker busy; the queue holds exactly `cap` more before shedding.
         assert_eq!(h.submit(1), Ok(()));
         assert_eq!(h.submit(2), Ok(()));

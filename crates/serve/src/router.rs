@@ -11,9 +11,10 @@
 //!    request leads and executes; concurrent duplicates follow and wait
 //!    for the leader's bytes.
 //! 4. **Execute** (leader only): the run goes through
-//!    [`mcd_bench::parallel::par_try_map`] — panic isolation, a
-//!    per-request wall-clock budget, one retry for transient failures —
-//!    on a fresh per-request [`RunSet`], so counters attribute cleanly
+//!    [`mcd_bench::parallel::isolated`] on the pool worker itself —
+//!    panic isolation, a per-attempt wall-clock budget that stops the
+//!    simulations at their next chunk, one retry for transient failures
+//!    — on a fresh per-request [`RunSet`], so counters attribute cleanly
 //!    under concurrency and reports stay deterministic.
 //! 5. **Publish**: the leader fills the cache, then publishes one shared
 //!    response to every follower. Duplicates are byte-identical because
@@ -28,7 +29,7 @@ use mcd_bench::checkpoint::{
 };
 use mcd_bench::error::RunError;
 use mcd_bench::experiments;
-use mcd_bench::parallel::par_try_map;
+use mcd_bench::parallel::isolated;
 use mcd_bench::runner::{ControllerActivity, EventTap, RunConfig, RunSet, RunStats};
 use mcd_sim::trace::TraceEvent;
 use mcd_telemetry::prometheus::CONTENT_TYPE;
@@ -279,9 +280,12 @@ impl App {
             Ticket::Follower(flight) => {
                 self.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
                 // The leader gets two attempts of `run_timeout` each
-                // (par_try_map retries transient failures once); give it
+                // (`isolated` retries transient failures once); give it
                 // that plus slack before giving up on the flight.
-                let budget = self.run_timeout * 2 + Duration::from_secs(5);
+                let budget = self
+                    .run_timeout
+                    .saturating_mul(2)
+                    .saturating_add(Duration::from_secs(5));
                 match flight.wait(budget) {
                     Some(shared) => {
                         let outcome = if shared.status == 200 {
@@ -355,13 +359,7 @@ impl App {
             broadcast: Arc::clone(&self.broadcast),
             room,
         });
-        match run_experiment(
-            id,
-            cfg.clone(),
-            self.inner_jobs,
-            self.run_timeout,
-            Some(tap),
-        ) {
+        match run_experiment(id, cfg, self.inner_jobs, self.run_timeout, Some(tap)) {
             Ok(bundle) => {
                 self.metrics.absorb_run(bundle.stats, &bundle.activity);
                 let entry = CachedRun {
@@ -416,25 +414,28 @@ struct Bundle {
     activity: ControllerActivity,
 }
 
-/// Runs `id` under `cfg` with `par_try_map` semantics: panic isolation,
-/// a wall-clock budget per attempt, one retry for transient failures.
-/// Each execution gets a fresh [`RunSet`] so counter deltas attribute to
-/// this request even when other requests run concurrently; `tap`, when
-/// given, observes every simulation event live (streaming fan-out).
+/// Runs `id` under `cfg` through [`isolated`]: panic isolation, a
+/// wall-clock budget per attempt, one retry for transient failures. It
+/// runs on the calling pool worker; an attempt over budget stops at its
+/// next simulation chunk, and its private pool is joined before this
+/// returns. Each execution gets a fresh [`RunSet`] so counter deltas
+/// attribute to this request even when other requests run concurrently;
+/// `tap`, when given, observes every simulation event live (streaming
+/// fan-out).
 fn run_experiment(
     id: &'static str,
-    cfg: RunConfig,
+    cfg: &RunConfig,
     jobs: usize,
     timeout: Duration,
     tap: Option<Arc<dyn EventTap>>,
 ) -> Result<Bundle, RunError> {
-    let slots = par_try_map(1, vec![(id, cfg)], Some(timeout), move |(id, cfg)| {
+    isolated(Some(timeout), || {
         let mut rs = RunSet::new(jobs);
         if let Some(tap) = tap.clone() {
             rs = rs.with_event_tap(tap);
         }
         let start = Instant::now();
-        let report = experiments::run_on(&rs, id, &cfg)?;
+        let report = experiments::run_on(&rs, id, cfg)?;
         let wall_s = start.elapsed().as_secs_f64();
         let stats = rs.stats();
         // Fresh RunSet per request, so the whole histogram is ours.
@@ -460,11 +461,7 @@ fn run_experiment(
             stats,
             activity: rs.activity(),
         })
-    });
-    slots
-        .into_iter()
-        .next()
-        .expect("one item in, one ordered slot out")
+    })
 }
 
 /// Renders the shared 200 body for a completed run: the checkpoint
@@ -663,14 +660,14 @@ mod tests {
     fn run_experiment_returns_typed_errors_for_bad_ids() {
         // Unknown ids are caught at parse time, but run_on also guards —
         // and its typed error must surface through the isolation layer.
-        let err = run_experiment("bogus", base(), 1, Duration::from_secs(30), None).unwrap_err();
+        let err = run_experiment("bogus", &base(), 1, Duration::from_secs(30), None).unwrap_err();
         assert_eq!(err.kind(), "config-invalid");
     }
 
     #[test]
     fn analysis_experiment_executes_end_to_end() {
         let bundle =
-            run_experiment("table1", base(), 1, Duration::from_secs(30), None).expect("runs");
+            run_experiment("table1", &base(), 1, Duration::from_secs(30), None).expect("runs");
         assert_eq!(bundle.run.kind, "analysis");
         assert_eq!(bundle.stats.runs, 0, "analysis runs no simulations");
         assert!(bundle.run.report.contains("Table 1"));

@@ -167,3 +167,51 @@ fn full_queue_burst_sheds_while_accepted_requests_complete() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// A `run_timeout` too large for the clock means no budget: coalesced
+/// followers wait for the leader instead of overflowing their own wait
+/// bound, and the leader's run is not cut short.
+#[test]
+fn a_run_timeout_past_the_clocks_range_still_coalesces() {
+    const CLIENTS: usize = 4;
+
+    let server = Server::start(ServeConfig {
+        workers: CLIENTS,
+        run_timeout: std::time::Duration::from_secs(10_000_000_000_000_000_000),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                // Heavy enough that the duplicates join the leader's flight.
+                run(
+                    addr,
+                    "{\"experiment\": \"fig8\", \"ops\": 100000, \"seed\": 43}",
+                )
+                .expect("every client gets a response")
+            })
+        })
+        .collect();
+    let replies: Vec<Reply> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread survives"))
+        .collect();
+
+    for r in &replies {
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, replies[0].body, "one shared response");
+    }
+    assert_eq!(metric(addr, "runs_executed"), 1);
+    assert!(
+        metric(addr, "coalesced") >= 1,
+        "at least one duplicate took the follower path"
+    );
+
+    server.shutdown().expect("clean shutdown");
+}

@@ -13,6 +13,17 @@ use std::time::Duration;
 use mcd_serve::{ServeConfig, Server};
 use util::{metric, request, run};
 
+/// Simulation pool workers alive in this process, by thread name. Each
+/// run attempt owns a private run set whose workers are named
+/// `mcd-steal-N`; the server starts no other thread per request.
+fn simulation_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task readable on Linux")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("mcd-steal"))
+        .count()
+}
+
 /// One test function: MCD_FAULTS is process-global, so sequencing within
 /// a single `#[test]` (this file is its own test binary) keeps the
 /// environment deterministic.
@@ -59,6 +70,9 @@ fn injected_timeouts_surface_as_504_and_the_server_recovers() {
             "a coalesced flight shares one failure body"
         );
     }
+    // The timed-out attempts were stopped, not abandoned: no thread
+    // started for them is still running once the 504s are in hand.
+    assert_eq!(simulation_threads(), 0, "a timed-out run outlived its 504");
     let failures = metric(addr, "run_failures");
     assert_eq!(
         metric(addr, "runs_executed"),
