@@ -7,14 +7,18 @@
 //! the machine from the run's recorded replay spec, and advances it to
 //! the first anchor past the episode's close (or to the end of the run)
 //! with full tracing *and* telemetry on — then proves the replayed event
-//! stream is byte-identical to the corresponding slice of the original
-//! recording. The shard-equivalence invariant (PR 8) is what makes the
-//! skipped intermediate snapshot round-trips immaterial: the stream does
-//! not depend on where the run paused.
+//! stream is bit-identical, in `.mcdt` wire form, to the same slice of
+//! the original recording. The shard-equivalence invariant is what
+//! makes the skipped intermediate snapshot round-trips immaterial: the
+//! stream does not depend on where the run paused.
+//!
+//! Only the index, the restored anchor and the segment's own blocks are
+//! read ([`read_segment`]), so a replay costs O(index + segment) in the
+//! recording, however long the rest of the file is.
 
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
 use mcd_sim::{SimConfig, TraceEvent};
-use mcd_trace::{read_anchor_at, read_mcdt, Episode};
+use mcd_trace::{read_anchor_at, read_index, read_segment, wire_identical, Episode};
 
 use crate::checkpoint::{fnv1a64, str_field, u64_field, FNV_OFFSET};
 use crate::error::RunError;
@@ -162,14 +166,14 @@ impl ReplayOutcome {
 /// recording and verifies it against the original stream.
 pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError> {
     let codec = |e: mcd_trace::TraceCodecError| RunError::Config(e.to_string());
-    let file = read_mcdt(bytes).map_err(codec)?;
-    let (ri, ei) = file.index.locate_episode(k).ok_or_else(|| {
+    let index = read_index(bytes).map_err(codec)?;
+    let (ri, ei) = index.locate_episode(k).ok_or_else(|| {
         RunError::Config(format!(
             "episode {k} out of range: the catalog holds {} episode(s)",
-            file.index.episode_count()
+            index.episode_count()
         ))
     })?;
-    let run_idx = &file.index.runs[ri];
+    let run_idx = &index.runs[ri];
     let episode = run_idx.episodes[ei];
     let spec = run_idx.spec.as_deref().ok_or_else(|| {
         RunError::Config(format!(
@@ -181,23 +185,21 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
 
     // The segment: last anchor at or before the onset → first anchor
     // past the close (exclusive), else the end of the run.
-    let start_anchor = run_idx
-        .anchors
+    let anchors = &run_idx.anchors;
+    let start_anchor = anchors
         .iter()
-        .take_while(|a| a.event_index <= episode.onset_event_index)
-        .last()
-        .copied();
-    let end_anchor = run_idx
-        .anchors
+        .rposition(|a| a.event_index <= episode.onset_event_index);
+    let end_anchor = anchors
         .iter()
-        .find(|a| a.event_index > episode.close_event_index)
-        .copied();
-    let original = &file.runs[ri].events;
-    let start_idx = start_anchor.map_or(0, |a| a.event_index);
-    let end_idx = end_anchor.map_or(original.len() as u64, |a| a.event_index);
+        .position(|a| a.event_index > episode.close_event_index);
+    let start_idx = start_anchor.map_or(0, |a| anchors[a].event_index);
+    let end_idx = end_anchor.map_or(run_idx.event_count, |a| anchors[a].event_index);
+    // Decoding the recorded segment first also CRC-checks every block the
+    // verdict depends on before any simulation is spent.
+    let original = read_segment(bytes, &index, ri, start_anchor, end_anchor).map_err(codec)?;
 
     let mut machine = build_machine(&benchmark, scheme, &cfg)?;
-    let anchor_retired = match start_anchor {
+    let anchor_retired = match start_anchor.map(|a| anchors[a]) {
         Some(aref) if aref.event_index > 0 || aref.retired > 0 => {
             let anchor = read_anchor_at(bytes, aref.offset).map_err(codec)?;
             machine
@@ -210,7 +212,7 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
 
     let telemetry = SimTelemetry::new();
     let mut sink = TelemetrySink::new(&telemetry, RecorderSink::new());
-    match end_anchor {
+    match end_anchor.map(|a| anchors[a]) {
         Some(aref) => {
             // Advance to exactly the retired count the original run
             // snapshotted at; shard equivalence guarantees the pause
@@ -230,19 +232,7 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
     }
 
     let (replayed, _anchors) = sink.into_inner().into_parts();
-    let want = original
-        .get(start_idx as usize..end_idx as usize)
-        .ok_or_else(|| {
-            RunError::Config(format!(
-                "index segment [{start_idx}, {end_idx}) exceeds the {}-event stream",
-                original.len()
-            ))
-        })?;
-    let byte_identical = replayed.len() == want.len()
-        && replayed
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.to_json() == b.to_json());
+    let byte_identical = wire_identical(&replayed, &original);
 
     let (mut reaction_count, mut reaction_sum_ps) = (0u64, 0u64);
     for h in &telemetry.reaction_ps {

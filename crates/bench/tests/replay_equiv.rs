@@ -3,11 +3,13 @@
 //! suite records a sharded sweep to `.mcdt` and replays every episode,
 //! covering cold starts (onset before the first anchor), warm anchor
 //! restores, and end-of-run segments — plus the typed refusals for
-//! out-of-range ordinals and spec-less recordings.
+//! out-of-range ordinals and spec-less recordings, and the checks that a
+//! replay reads only its own segment and verifies it bit for bit.
 
 use mcd_bench::replay::replay_episode;
 use mcd_bench::runner::{RunConfig, RunSet, Scheme};
-use mcd_trace::{read_index, write_mcdt, RunRecording};
+use mcd_sim::TraceEvent;
+use mcd_trace::{read_index, read_mcdt, write_mcdt, Episode, RunRecording, TraceIndex};
 
 /// Records one sharded, traced sweep and returns its `.mcdt` bytes.
 fn record(benchmark: &str, scheme: Scheme, ops: u64, shard: u64) -> Vec<u8> {
@@ -96,4 +98,75 @@ fn recordings_without_a_replay_spec_are_refused() {
     let e = replay_episode(&bytes, 0).expect_err("no spec, no replay");
     assert_eq!(e.kind(), "config-invalid");
     assert!(e.to_string().contains("no replay spec"), "{e}");
+}
+
+/// The first episode passing `pick` that restores from an anchor other
+/// than its run's first: its global ordinal, run, and the episode.
+fn warm_episode(index: &TraceIndex, pick: impl Fn(&Episode) -> bool) -> (usize, usize, Episode) {
+    let mut k = 0;
+    for (ri, run) in index.runs.iter().enumerate() {
+        for ep in &run.episodes {
+            let start = run
+                .anchors
+                .iter()
+                .rposition(|a| a.event_index <= ep.onset_event_index);
+            if matches!(start, Some(1..)) && pick(ep) {
+                return (k, ri, *ep);
+            }
+            k += 1;
+        }
+    }
+    panic!("no episode starts from a later anchor");
+}
+
+#[test]
+fn replay_reads_only_its_segment() {
+    let bytes = record("gzip", Scheme::Adaptive, 16_000, 4_000);
+    let index = read_index(&bytes).expect("index decodes");
+    let (k, ri, ep) = warm_episode(&index, |_| true);
+    let run = &index.runs[ri];
+    let a = run
+        .anchors
+        .iter()
+        .rposition(|a| a.event_index <= ep.onset_event_index)
+        .expect("warm start");
+    let start = run.anchors[a].offset as usize;
+    // The last CRC byte of the block just before the start anchor lies
+    // outside the replayed segment.
+    let mut outside = bytes.clone();
+    outside[start - 1] ^= 0x40;
+    assert!(read_mcdt(&outside).is_err(), "the corruption is real");
+    let outcome = replay_episode(&outside, k).expect("segment untouched");
+    assert!(outcome.byte_identical, "episode {k} diverged");
+    // A byte of the onset's own events block is inside it.
+    let mut inside = bytes.clone();
+    inside[ep.block_offset as usize + 8] ^= 0x40;
+    let e = replay_episode(&inside, k).expect_err("corrupt segment");
+    assert_eq!(e.kind(), "config-invalid");
+    assert!(e.to_string().contains("crc mismatch"), "{e}");
+}
+
+#[test]
+fn a_one_ulp_difference_replays_as_diverged() {
+    let bytes = record("gzip", Scheme::Adaptive, 16_000, 4_000);
+    let index = read_index(&bytes).expect("index decodes");
+    let (k, ri, ep) = warm_episode(&index, |ep| ep.reaction_ps.is_some());
+    let mut runs = read_mcdt(&bytes).expect("decodes").runs;
+    // Nudge the step that answered the onset: inside the replayed
+    // segment, and invisible to the episode catalog.
+    let nudged = runs[ri].events[ep.onset_event_index as usize..=ep.close_event_index as usize]
+        .iter_mut()
+        .find_map(|ev| match ev {
+            TraceEvent::FreqStep { to_mhz, .. } => {
+                *to_mhz = to_mhz.next_up();
+                Some(())
+            }
+            _ => None,
+        });
+    assert!(nudged.is_some(), "the episode's segment steps a frequency");
+    let edited = write_mcdt(&runs);
+    assert_eq!(read_index(&edited).expect("index decodes"), index);
+    let outcome = replay_episode(&edited, k).expect("a divergence is a verdict, not an error");
+    assert!(!outcome.byte_identical, "a one-ulp change went unseen");
+    assert!(replay_episode(&bytes, k).expect("replays").byte_identical);
 }

@@ -96,6 +96,10 @@ impl<'a> Reader<'a> {
         self.pos >= self.bytes.len()
     }
 
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceCodecError> {
         let end = self
             .pos
@@ -150,22 +154,26 @@ impl<'a> Reader<'a> {
 
 // ---------------------------------------------------------------- blocks
 
-/// Appends one framed block: `[kind][varint len][payload][crc32le]`.
+/// Appends one framed block: `[kind][varint len][payload][crc32le]`,
+/// the CRC covering kind, length and payload.
 pub(crate) fn write_block(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    let start = buf.len();
     buf.push(kind);
     put_varint(buf, payload.len() as u64);
     buf.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    let crc = crc32(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Reads one framed block, verifying its CRC.
+/// Reads one framed block, verifying its CRC before the kind is trusted.
 pub(crate) fn read_block<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8]), TraceCodecError> {
+    let start = r.pos;
     let kind = r.u8()?;
     let len = r.varint()?;
     let len = usize::try_from(len).map_err(|_| err("block length overflows usize"))?;
     let payload = r.take(len)?;
+    let got = crc32(&r.bytes[start..r.pos]);
     let want = r.u32le()?;
-    let got = crc32(payload);
     if want != got {
         return Err(err(format!(
             "crc mismatch on block kind {kind:#04x}: stored {want:#010x}, computed {got:#010x}"
@@ -462,8 +470,17 @@ pub(crate) fn decode_event(
         }
         TAG_QUEUE_HISTOGRAM => {
             let samples = r.varint()?;
-            let n = usize::try_from(r.varint()?).map_err(|_| err("counts length > usize"))?;
-            let mut counts = Vec::with_capacity(n.min(1 << 20));
+            let n = r.varint()?;
+            // Every count takes at least one byte, so a claim past the
+            // bytes left is corrupt, and the reservation stays bounded by
+            // the input.
+            if n > r.remaining() as u64 {
+                return Err(err(format!(
+                    "histogram claims {n} counts with {} payload bytes left",
+                    r.remaining()
+                )));
+            }
+            let mut counts = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 counts.push(r.varint()?);
             }
@@ -476,6 +493,21 @@ pub(crate) fn decode_event(
         }
         other => return Err(err(format!("unknown event tag {other}"))),
     })
+}
+
+/// Whether two event streams are bit-identical in wire form: every
+/// field, every `f64` by its bits. Unlike `==` on events, `-0.0` differs
+/// from `0.0` and a NaN equals itself.
+pub fn wire_identical(a: &[TraceEvent], b: &[TraceEvent]) -> bool {
+    let (mut wa, mut wb) = (Vec::new(), Vec::new());
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            wa.clear();
+            wb.clear();
+            encode_event(&mut wa, &mut 0, x);
+            encode_event(&mut wb, &mut 0, y);
+            wa == wb
+        })
 }
 
 #[cfg(test)]
@@ -518,6 +550,49 @@ mod tests {
 
     fn block_kind() -> u8 {
         crate::block::EVENTS
+    }
+
+    #[test]
+    fn block_crc_covers_the_kind_and_length() {
+        let mut buf = Vec::new();
+        write_block(&mut buf, block_kind(), b"payload");
+        let mut kind = buf.clone();
+        kind[0] ^= 0x01;
+        // A length one short still frames; only the CRC can notice.
+        let mut len = buf.clone();
+        len[1] -= 1;
+        for bad in [kind, len] {
+            let e = read_block(&mut Reader::new(&bad)).expect_err("altered header");
+            assert!(e.0.contains("crc mismatch"), "{e}");
+        }
+    }
+
+    #[test]
+    fn histogram_count_claims_are_bounded_by_the_payload() {
+        let mut buf = vec![TAG_QUEUE_HISTOGRAM, 0, 0, 7];
+        put_varint(&mut buf, 1 << 40);
+        buf.extend_from_slice(&[1, 2, 3]);
+        let e = decode_event(&mut Reader::new(&buf), &mut 0).expect_err("short payload");
+        assert!(e.0.contains("claims 1099511627776 counts"), "{e}");
+    }
+
+    #[test]
+    fn wire_identity_compares_f64_bits() {
+        let ev = |mhz: f64| TraceEvent::FreqStep {
+            at: TimePs::new(7),
+            domain: DomainId::Int,
+            from: OpIndex(3),
+            to: OpIndex(1),
+            from_mhz: mhz,
+            to_mhz: 700.0,
+            from_mv: 1_000.0,
+            to_mv: 900.0,
+        };
+        assert!(wire_identical(&[ev(900.0)], &[ev(900.0)]));
+        assert!(wire_identical(&[ev(f64::NAN)], &[ev(f64::NAN)]));
+        assert!(!wire_identical(&[ev(0.0)], &[ev(-0.0)]));
+        assert!(!wire_identical(&[ev(900.0)], &[ev(900.0_f64.next_up())]));
+        assert!(!wire_identical(&[ev(900.0)], &[]));
     }
 
     #[test]

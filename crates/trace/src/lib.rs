@@ -5,11 +5,12 @@
 //! the compact self-describing binary format the harness records into:
 //!
 //! * **Framed blocks with CRC.** A `.mcdt` file is a magic header followed
-//!   by `[kind][varint len][payload][crc32]` blocks: run starts, event
-//!   batches (varint-delta timestamps, interned domain/signal ids, raw
-//!   IEEE-754 bits for lossless `f64` round-trips), snapshot anchors, and
-//!   one trailing index. A fixed-size footer points at the index so
-//!   readers seek to it in O(1) without scanning the stream.
+//!   by `[kind][varint len][payload][crc32]` blocks (the CRC covers kind,
+//!   length and payload): run starts, event batches (timestamps as one
+//!   zigzag-delta chain per run, domain/signal bytes, raw IEEE-754 bits
+//!   for lossless `f64` round-trips), snapshot anchors, and one trailing
+//!   index. A fixed-size footer points at the index so readers seek to it
+//!   in O(1) without scanning the stream.
 //! * **Episode catalog.** While encoding, [`BinarySink`] runs the events
 //!   through [`mcd_sim::OnsetTracker`], the onset rule the engine and
 //!   `trace analyze` use: every window enter→exit episode lands in the
@@ -18,9 +19,9 @@
 //!   `.mcdt` file never decode events.
 //! * **Anchors for time-travel.** The sharded runner drops `Machine`
 //!   snapshots at shard boundaries through
-//!   [`TraceSink::record_anchor`]; the index records where they landed so
-//!   a replay can restore the nearest anchor and re-simulate just the
-//!   segment around an episode.
+//!   [`TraceSink::record_anchor`]; the index records where they landed and
+//!   the delta chain's base there, so a replay restores the nearest anchor
+//!   and [`read_segment`] decodes just the segment around an episode.
 //! * **Lossless JSONL interop.** [`render_jsonl`] writes the
 //!   `--trace-out` JSONL format, and [`parse_jsonl`] inverts it exactly
 //!   (shortest-round-trip `f64` text both ways), so `.mcdt` ⇄ JSONL
@@ -39,14 +40,17 @@ mod jsonl;
 mod read;
 mod sink;
 
+pub use codec::wire_identical;
 pub use episodes::{catalog_episodes, Episode};
 pub use frame::{decode_frame, encode_event_frame, encode_meta_frame, StreamFrame};
 pub use jsonl::{json_escape, parse_jsonl, render_jsonl};
-pub use read::{read_anchor_at, read_index, read_mcdt, McdtFile};
+pub use read::{read_anchor_at, read_index, read_mcdt, read_segment, McdtFile};
 pub use sink::{write_mcdt, BinarySink};
 
-/// File-level magic prefix of a `.mcdt` stream.
-pub const MAGIC: &[u8; 6] = b"MCDT1\n";
+/// File-level magic prefix of a `.mcdt` stream. Version 2 added the
+/// anchors' delta bases to the index and the kind and length to each
+/// block's CRC; readers refuse other versions by name.
+pub const MAGIC: &[u8; 6] = b"MCDT2\n";
 /// Trailing magic; the 8 bytes before it are the little-endian index offset.
 pub const FOOTER_MAGIC: &[u8; 8] = b"MCDTEND1";
 /// Total footer size: `u64` index offset + [`FOOTER_MAGIC`].
@@ -124,6 +128,10 @@ pub struct AnchorRef {
     pub retired: u64,
     /// File offset of the anchor block.
     pub offset: u64,
+    /// The run's timestamp delta chain at the anchor: the last event's
+    /// timestamp before it (0 before the first event). Events after the
+    /// anchor decode from here without the blocks before it.
+    pub delta_base: u64,
 }
 
 /// One run's entry in the trailing index.

@@ -1,5 +1,8 @@
-//! Decoders: the full-file reader, the O(1) footer→index path, and the
-//! random-access anchor reader.
+//! Decoders: the O(1) footer→index path, the random-access anchor
+//! reader, and one block walker under both the full-file reader and the
+//! segment reader.
+
+use mcd_sim::TraceEvent;
 
 use crate::codec::{decode_event, get_opt_str, get_str, read_block, Reader};
 use crate::{
@@ -17,6 +20,22 @@ pub struct McdtFile {
     pub index: TraceIndex,
 }
 
+/// Accepts exactly [`MAGIC`]; another `MCDT<v>` header is refused by
+/// its version, since its blocks do not frame or index the same way.
+fn check_magic(head: &[u8]) -> Result<(), TraceCodecError> {
+    if head == MAGIC {
+        return Ok(());
+    }
+    let want = String::from_utf8_lossy(&MAGIC[..5]);
+    match head {
+        [b'M', b'C', b'D', b'T', _, b'\n'] => Err(err(format!(
+            "unsupported .mcdt version {}: this reader reads {want}; re-record the trace",
+            String::from_utf8_lossy(&head[..5])
+        ))),
+        _ => Err(err(format!("missing {want} header magic"))),
+    }
+}
+
 fn footer_index_offset(bytes: &[u8]) -> Result<usize, TraceCodecError> {
     if bytes.len() < MAGIC.len() + FOOTER_LEN {
         return Err(err(format!(
@@ -24,9 +43,7 @@ fn footer_index_offset(bytes: &[u8]) -> Result<usize, TraceCodecError> {
             bytes.len()
         )));
     }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(err("missing MCDT1 header magic"));
-    }
+    check_magic(&bytes[..MAGIC.len()])?;
     let tail = &bytes[bytes.len() - FOOTER_LEN..];
     if &tail[8..] != FOOTER_MAGIC {
         return Err(err("missing MCDTEND1 footer magic (truncated file?)"));
@@ -85,6 +102,7 @@ fn decode_index(payload: &[u8]) -> Result<TraceIndex, TraceCodecError> {
                 event_index: r.varint()?,
                 retired: r.varint()?,
                 offset: r.varint()?,
+                delta_base: r.varint()?,
             });
         }
         let ne = r.varint()?;
@@ -151,65 +169,88 @@ pub fn read_anchor_at(bytes: &[u8], offset: u64) -> Result<Anchor, TraceCodecErr
     decode_anchor(payload)
 }
 
+/// One body block, as [`Blocks`] yields it.
+enum Block<'a> {
+    /// A run starts here; the timestamp delta chain restarts at 0.
+    RunStart { label: String, spec: Option<String> },
+    /// An events block, already decoded onto the caller's vector.
+    Events,
+    /// An anchor block's payload (CRC-checked), decoded only on demand.
+    Anchor(&'a [u8]),
+}
+
+/// The one body decoder: walks blocks up to the end of its slice,
+/// verifying each CRC and carrying the run's timestamp delta chain from
+/// block to block. The chain spans the whole run, so a walk that starts
+/// at an anchor starts from that anchor's [`AnchorRef::delta_base`].
+struct Blocks<'a> {
+    r: Reader<'a>,
+    prev_t: u64,
+}
+
+impl<'a> Blocks<'a> {
+    /// Walks `body` from offset `from` with the delta chain at `prev_t`.
+    fn new(body: &'a [u8], from: usize, prev_t: u64) -> Result<Self, TraceCodecError> {
+        Ok(Blocks {
+            r: Reader::at(body, from)?,
+            prev_t,
+        })
+    }
+
+    /// The next block, or `None` at the end of the slice. An events
+    /// block's events are appended to `events`.
+    fn next(&mut self, events: &mut Vec<TraceEvent>) -> Result<Option<Block<'a>>, TraceCodecError> {
+        if self.r.is_empty() {
+            return Ok(None);
+        }
+        let (kind, payload) = read_block(&mut self.r)?;
+        let mut p = Reader::new(payload);
+        let block = match kind {
+            block::RUN_START => {
+                self.prev_t = 0;
+                Block::RunStart {
+                    label: get_str(&mut p)?,
+                    spec: get_opt_str(&mut p)?,
+                }
+            }
+            block::EVENTS => {
+                let count = p.varint()?;
+                for _ in 0..count {
+                    events.push(decode_event(&mut p, &mut self.prev_t)?);
+                }
+                Block::Events
+            }
+            block::ANCHOR => return Ok(Some(Block::Anchor(payload))),
+            block::INDEX => return Err(err("index block before the footer offset")),
+            other => return Err(err(format!("unknown block kind {other:#04x}"))),
+        };
+        if !p.is_empty() {
+            return Err(err(format!("trailing bytes after block kind {kind:#04x}")));
+        }
+        Ok(Some(block))
+    }
+}
+
 /// Decodes the whole file, verifying every block CRC and cross-checking
 /// the stream against the trailing index.
 pub fn read_mcdt(bytes: &[u8]) -> Result<McdtFile, TraceCodecError> {
     let index_offset = footer_index_offset(bytes)?;
-    let body = &bytes[..index_offset];
-    let mut r = Reader::at(body, MAGIC.len())?;
+    let mut walk = Blocks::new(&bytes[..index_offset], MAGIC.len(), 0)?;
     let mut runs: Vec<RunRecording> = Vec::new();
-    let mut prev_t = 0u64;
-    while !r.is_empty() {
-        let (kind, payload) = read_block(&mut r)?;
-        match kind {
-            block::RUN_START => {
-                let mut p = Reader::new(payload);
-                let label = get_str(&mut p)?;
-                let spec = get_opt_str(&mut p)?;
-                runs.push(RunRecording {
-                    label,
-                    spec,
-                    events: Vec::new(),
-                    anchors: Vec::new(),
-                });
-                prev_t = 0;
-            }
-            block::EVENTS => {
-                if runs.is_empty() {
-                    // An engine-driven sink opens one implicit unnamed run.
-                    runs.push(RunRecording {
-                        label: String::new(),
-                        spec: None,
-                        events: Vec::new(),
-                        anchors: Vec::new(),
-                    });
-                }
-                let run = runs.last_mut().expect("pushed above");
-                let mut p = Reader::new(payload);
-                let count = p.varint()?;
-                for _ in 0..count {
-                    run.events.push(decode_event(&mut p, &mut prev_t)?);
-                }
-                if !p.is_empty() {
-                    return Err(err("trailing bytes after events payload"));
-                }
-            }
-            block::ANCHOR => {
-                if runs.is_empty() {
-                    runs.push(RunRecording {
-                        label: String::new(),
-                        spec: None,
-                        events: Vec::new(),
-                        anchors: Vec::new(),
-                    });
-                }
-                let run = runs.last_mut().expect("pushed above");
-                run.anchors.push(decode_anchor(payload)?);
-            }
-            block::INDEX => {
-                return Err(err("index block before the footer offset"));
-            }
-            other => return Err(err(format!("unknown block kind {other:#04x}"))),
+    // Only a run start may precede the first run; anything decoded into
+    // this vector is refused below.
+    let mut orphans = Vec::new();
+    while let Some(block) = walk.next(runs.last_mut().map_or(&mut orphans, |r| &mut r.events))? {
+        match (block, runs.last_mut()) {
+            (Block::RunStart { label, spec }, _) => runs.push(RunRecording {
+                label,
+                spec,
+                events: Vec::new(),
+                anchors: Vec::new(),
+            }),
+            (Block::Events, Some(_)) => {}
+            (Block::Anchor(payload), Some(run)) => run.anchors.push(decode_anchor(payload)?),
+            (_, None) => return Err(err("events or anchor block before any run start")),
         }
     }
     let index = read_index(bytes)?;
@@ -243,4 +284,71 @@ pub fn read_mcdt(bytes: &[u8]) -> Result<McdtFile, TraceCodecError> {
         }
     }
     Ok(McdtFile { runs, index })
+}
+
+/// Decodes one segment of run `run`: the events from its anchor `from`
+/// (`None`: the run's start) up to its anchor `to` (`None`: the run's
+/// end). Anchors in between are CRC-checked and skipped. Only the
+/// segment's blocks are read — with [`read_index`] a replay costs
+/// O(index + segment), not O(file). The segment must hold exactly the
+/// events the index places between its bounds.
+pub fn read_segment(
+    bytes: &[u8],
+    index: &TraceIndex,
+    run: usize,
+    from: Option<usize>,
+    to: Option<usize>,
+) -> Result<Vec<TraceEvent>, TraceCodecError> {
+    let index_offset = footer_index_offset(bytes)?;
+    let ri = index
+        .runs
+        .get(run)
+        .ok_or_else(|| err(format!("no run {run} in a {}-run index", index.runs.len())))?;
+    let anchor = |k: usize| {
+        ri.anchors
+            .get(k)
+            .ok_or_else(|| err(format!("run {run} has no anchor {k}")))
+    };
+    let (start, base, first) = match from {
+        Some(k) => anchor(k).map(|a| (a.offset, a.delta_base, a.event_index))?,
+        None => (ri.start_offset, 0, 0),
+    };
+    let (end, last) = match to {
+        Some(k) => anchor(k).map(|a| (a.offset, a.event_index))?,
+        None => (
+            index
+                .runs
+                .get(run + 1)
+                .map_or(index_offset as u64, |next| next.start_offset),
+            ri.event_count,
+        ),
+    };
+    let offset = |o: u64| usize::try_from(o).ok().filter(|&o| o <= index_offset);
+    let (start, end, want) = match (offset(start), offset(end), last.checked_sub(first)) {
+        (Some(s), Some(e), Some(want)) if s <= e => (s, e, want),
+        _ => {
+            return Err(err(format!(
+                "run {run}: segment [{start}, {end}) with events [{first}, {last}) \
+                 is not a range of the file"
+            )))
+        }
+    };
+    let mut walk = Blocks::new(&bytes[..end], start, base)?;
+    // Each event takes at least three bytes: the reservation stays
+    // bounded by the input whatever the index claims.
+    let mut events = Vec::with_capacity((want as usize).min((end - start) / 3));
+    let mut first_block = true;
+    while let Some(block) = walk.next(&mut events)? {
+        if matches!(block, Block::RunStart { .. }) && !(from.is_none() && first_block) {
+            return Err(err(format!("run {run}: segment crosses a run start")));
+        }
+        first_block = false;
+    }
+    if events.len() as u64 != want {
+        return Err(err(format!(
+            "run {run}: segment holds {} events, the index places {want} there",
+            events.len()
+        )));
+    }
+    Ok(events)
 }

@@ -183,6 +183,7 @@ impl TraceSink for BinarySink {
             event_index: cur.event_index,
             retired,
             offset,
+            delta_base: cur.prev_t,
         });
         self.anchors_total += 1;
     }
@@ -218,6 +219,7 @@ pub(crate) fn encode_index(index: &TraceIndex) -> Vec<u8> {
             put_varint(&mut buf, a.event_index);
             put_varint(&mut buf, a.retired);
             put_varint(&mut buf, a.offset);
+            put_varint(&mut buf, a.delta_base);
         }
         put_varint(&mut buf, run.episodes.len() as u64);
         for e in &run.episodes {

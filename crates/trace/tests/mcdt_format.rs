@@ -1,12 +1,14 @@
 //! File-level `.mcdt` properties: encode→decode is the identity on
 //! recordings, the footer index equals the streamed index, anchors are
-//! randomly addressable, and corruption anywhere is detected.
+//! randomly addressable, any anchor-bounded segment decodes on its own,
+//! and corruption anywhere is detected.
 
 use mcd_power::{OpIndex, TimePs};
 use mcd_sim::{CtrlEvent, DomainId, SignalKind, StepDir, TraceEvent};
 use mcd_trace::{
-    catalog_episodes, read_anchor_at, read_index, read_mcdt, render_jsonl, write_mcdt, Anchor,
-    RunRecording, EVENTS_PER_BLOCK,
+    catalog_episodes, decode_frame, encode_event_frame, read_anchor_at, read_index, read_mcdt,
+    read_segment, render_jsonl, write_mcdt, Anchor, RunRecording, EVENTS_PER_BLOCK, FOOTER_LEN,
+    MAGIC,
 };
 
 fn enter(t: u64, domain: DomainId) -> TraceEvent {
@@ -200,4 +202,211 @@ fn mcdt_of_rendered_jsonl_round_trips_to_identical_text() {
         bytes.len(),
         text.len()
     );
+}
+
+fn anchor(event_index: u64, retired: u64) -> Anchor {
+    Anchor {
+        event_index,
+        retired,
+        snapshot: vec![event_index as u8; 16],
+    }
+}
+
+/// Three runs whose anchors sit at the run start, mid-block, exactly on
+/// an events-block boundary, back to back, and after the last event —
+/// with timestamps that step backwards now and then, so a segment only
+/// decodes right from its anchor's delta base.
+fn segmented_runs() -> Vec<RunRecording> {
+    let events = |n: u64, t0: u64| -> Vec<TraceEvent> {
+        (0..n)
+            .map(|i| {
+                let t = t0 + i * 333 - (i % 5 == 4) as u64 * 700;
+                match i % 4 {
+                    0 => enter(t, DomainId::Int),
+                    1 => histogram(t, DomainId::Fp, i),
+                    2 => step(t, DomainId::Ls),
+                    _ => step(t, DomainId::Int),
+                }
+            })
+            .collect()
+    };
+    let n0 = 2 * EVENTS_PER_BLOCK + 300;
+    vec![
+        RunRecording {
+            label: "a".into(),
+            spec: Some("{}".into()),
+            events: events(n0, 5_000_000),
+            anchors: vec![
+                anchor(0, 0),
+                anchor(1_000, 10),
+                anchor(EVENTS_PER_BLOCK + 1_000, 20),
+                anchor(EVENTS_PER_BLOCK + 1_000, 21),
+                anchor(n0 - 7, 30),
+            ],
+        },
+        RunRecording {
+            label: "b".into(),
+            spec: None,
+            events: events(500, 77),
+            anchors: Vec::new(),
+        },
+        RunRecording {
+            label: "c".into(),
+            spec: None,
+            events: events(900, 1 << 40),
+            anchors: vec![anchor(1, 5), anchor(450, 6), anchor(900, 7)],
+        },
+    ]
+}
+
+#[test]
+fn every_anchor_bounded_segment_matches_the_full_decode() {
+    let runs = segmented_runs();
+    let bytes = write_mcdt(&runs);
+    let index = read_index(&bytes).expect("index decodes");
+    let file = read_mcdt(&bytes).expect("file decodes");
+    let mut straddling = 0;
+    for (ri, run) in index.runs.iter().enumerate() {
+        // `None` is the run's start as a lower bound and its end as an
+        // upper bound.
+        let bounds: Vec<Option<usize>> = std::iter::once(None)
+            .chain((0..run.anchors.len()).map(Some))
+            .collect();
+        let at = |b: Option<usize>, default: u64| b.map_or(default, |k| run.anchors[k].event_index);
+        for &from in &bounds {
+            for &to in bounds.iter().skip(1).chain([&None]) {
+                let (first, last) = (at(from, 0), at(to, run.event_count));
+                if first > last || matches!((from, to), (Some(a), Some(b)) if a > b) {
+                    assert!(read_segment(&bytes, &index, ri, from, to).is_err());
+                    continue;
+                }
+                let got = read_segment(&bytes, &index, ri, from, to)
+                    .unwrap_or_else(|e| panic!("run {ri} [{from:?}, {to:?}): {e}"));
+                let want = &file.runs[ri].events[first as usize..last as usize];
+                assert_eq!(got, want, "run {ri} segment [{from:?}, {to:?})");
+                let skipped = run
+                    .anchors
+                    .iter()
+                    .filter(|a| first < a.event_index && a.event_index < last)
+                    .count();
+                straddling += usize::from(skipped > 0);
+            }
+        }
+    }
+    assert!(straddling > 0, "some segments skip intermediate anchors");
+    // Bounds that name no anchor or run are refused.
+    assert!(read_segment(&bytes, &index, 0, Some(9), None).is_err());
+    assert!(read_segment(&bytes, &index, 3, None, None).is_err());
+}
+
+#[test]
+fn anchor_delta_bases_continue_each_runs_timestamp_chain() {
+    let runs = segmented_runs();
+    let index = read_index(&write_mcdt(&runs)).expect("index decodes");
+    for (run, rec) in index.runs.iter().zip(&runs) {
+        for a in &run.anchors {
+            let want = match a.event_index {
+                0 => 0,
+                i => rec.events[i as usize - 1].at().as_ps(),
+            };
+            assert_eq!(
+                a.delta_base, want,
+                "{} anchor at {}",
+                rec.label, a.event_index
+            );
+        }
+    }
+}
+
+#[test]
+fn a_corrupt_segment_block_is_a_typed_error_and_others_are_not_read() {
+    let runs = segmented_runs();
+    let bytes = write_mcdt(&runs);
+    let index = read_index(&bytes).expect("index decodes");
+    let anchors = &index.runs[0].anchors;
+    // A byte of the events block just before anchor 2 lies inside
+    // [anchor 1, anchor 2) and outside [anchor 2, end of run).
+    let mut corrupt = bytes.clone();
+    corrupt[anchors[2].offset as usize - 6] ^= 0x10;
+    let e = read_segment(&corrupt, &index, 0, Some(1), Some(2)).expect_err("corrupt segment");
+    assert!(e.to_string().contains("crc mismatch"), "{e}");
+    let far = read_segment(&corrupt, &index, 0, Some(2), None).expect("untouched segment");
+    assert_eq!(far, &runs[0].events[anchors[2].event_index as usize..]);
+    assert!(read_mcdt(&corrupt).is_err(), "the full decode sees it");
+}
+
+/// Start offsets of every framed block: `[kind][varint len][payload][crc]`.
+fn block_starts(bytes: &[u8]) -> Vec<usize> {
+    let end = bytes.len() - FOOTER_LEN;
+    let mut pos = MAGIC.len();
+    let mut starts = Vec::new();
+    while pos < end {
+        starts.push(pos);
+        let (mut len, mut shift, mut i) = (0usize, 0, pos + 1);
+        loop {
+            let b = bytes[i];
+            len |= usize::from(b & 0x7f) << shift;
+            i += 1;
+            if b & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        pos = i + len + 4;
+    }
+    assert_eq!(pos, end, "blocks tile the body and index");
+    starts
+}
+
+#[test]
+fn a_flipped_kind_byte_fails_the_block_crc() {
+    let mut runs = sample_runs();
+    runs[0].events.truncate(40);
+    runs[0].anchors[1].event_index = 20;
+    let bytes = write_mcdt(&runs);
+    let starts = block_starts(&bytes);
+    assert!(
+        starts.len() >= 6,
+        "run starts, events, anchors and the index"
+    );
+    for &at in &starts {
+        for bit in 0..8 {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << bit;
+            let e = read_mcdt(&bad).expect_err("kind flip");
+            assert!(
+                e.to_string().contains("crc mismatch"),
+                "block at {at}, bit {bit}: {e}"
+            );
+        }
+    }
+    let frame = encode_event_frame("run", &step(42, DomainId::Fp));
+    for bit in 0..8 {
+        let mut bad = frame.clone();
+        bad[0] ^= 1 << bit;
+        let e = decode_frame(&bad).expect_err("kind flip");
+        assert!(
+            e.to_string().contains("crc mismatch"),
+            "frame bit {bit}: {e}"
+        );
+    }
+}
+
+#[test]
+fn other_format_versions_are_refused_by_name() {
+    let runs = sample_runs();
+    let mut bytes = write_mcdt(&runs);
+    assert_eq!(&bytes[..6], b"MCDT2\n");
+    bytes[4] = b'1';
+    let index = read_index(&write_mcdt(&runs)).expect("index decodes");
+    for e in [
+        read_mcdt(&bytes).expect_err("MCDT1 file"),
+        read_index(&bytes).expect_err("MCDT1 index"),
+        read_segment(&bytes, &index, 0, None, None).expect_err("MCDT1 segment"),
+    ] {
+        assert!(e.to_string().contains("version MCDT1"), "{e}");
+    }
+    bytes[..6].copy_from_slice(b"XXXX2\n");
+    let e = read_index(&bytes).expect_err("not a trace");
+    assert!(e.to_string().contains("header magic"), "{e}");
 }
