@@ -6,7 +6,8 @@
 //!
 //! * `<id>.report.txt` — the rendered report, byte-exact;
 //! * `<id>.record.json` — the bench record (wall-clock, run and
-//!   instruction counters) in the same shape as one `--bench-out` entry.
+//!   instruction counters) in the same shape as one `--bench-out` entry,
+//!   read back through the strict [`mcd_trace::json`] reader.
 //!
 //! `manifest.json` pins the configuration fingerprint (ops, seed, PID
 //! interval, q_ref scale) *and* a fingerprint of the code that rendered
@@ -26,6 +27,9 @@
 //! rejecting caches flushed by an older binary.
 
 use std::path::{Path, PathBuf};
+
+use mcd_sim::snapshot::{fnv1a64, FNV_OFFSET};
+use mcd_trace::json;
 
 use crate::error::RunError;
 use crate::runner::RunConfig;
@@ -140,49 +144,6 @@ impl CompletedRun {
     }
 }
 
-/// Finds the raw text of `"key": <value>` in a flat JSON object. Values
-/// here are numbers or simple quoted labels — never nested objects or
-/// strings containing commas.
-fn raw_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-/// Extracts a quoted string field from a flat JSON object (no escape
-/// handling — values here are simple labels). `None` if absent or not a
-/// string. Shared with `mcd-serve`, whose request bodies are the same
-/// flat shape as the records written here.
-pub fn str_field(json: &str, key: &str) -> Option<String> {
-    let raw = raw_field(json, key)?;
-    Some(raw.strip_prefix('"')?.strip_suffix('"')?.to_string())
-}
-
-/// Extracts an unsigned integer field from a flat JSON object.
-pub fn u64_field(json: &str, key: &str) -> Option<u64> {
-    raw_field(json, key)?.parse().ok()
-}
-
-/// Extracts a float field from a flat JSON object.
-pub fn f64_field(json: &str, key: &str) -> Option<f64> {
-    raw_field(json, key)?.parse().ok()
-}
-
-/// 64-bit FNV-1a, folded over `bytes` starting from `h` (chain calls
-/// with the previous result; seed with [`FNV_OFFSET`]).
-pub(crate) fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Fingerprint of the *code* that renders reports: the crate version
 /// plus a hash of the experiment registry (every id and its kind). Two
 /// binaries that disagree on either produce incomparable reports, so a
@@ -241,10 +202,12 @@ impl CheckpointDir {
         let manifest = dir.join("manifest.json");
         match std::fs::read_to_string(&manifest) {
             Ok(text) => {
-                let recorded = str_field(&text, "fingerprint").ok_or_else(|| RunError::Io {
-                    path: manifest.display().to_string(),
-                    message: "manifest has no fingerprint field".into(),
-                })?;
+                let parsed = json::parse(&text).ok();
+                let recorded = (parsed.as_ref().and_then(|m| m.get("fingerprint")?.as_str()))
+                    .ok_or_else(|| RunError::Io {
+                        path: manifest.display().to_string(),
+                        message: "manifest is not JSON with a fingerprint field".into(),
+                    })?;
                 if recorded != fingerprint {
                     return Err(RunError::Config(format!(
                         "checkpoint {} was recorded under a different configuration \
@@ -310,24 +273,26 @@ impl CheckpointDir {
     /// partial, or unreadable (those simply re-run).
     pub fn load(&self, id: &str) -> Option<CompletedRun> {
         let report = std::fs::read_to_string(self.report_path(id)).ok()?;
-        let record = std::fs::read_to_string(self.record_path(id)).ok()?;
+        let record = json::parse(&std::fs::read_to_string(self.record_path(id)).ok()?).ok()?;
+        let uint = |key| record.get(key)?.as_u64();
+        let float = |key| record.get(key)?.as_f64();
         Some(CompletedRun {
             report,
-            kind: str_field(&record, "kind")?,
-            wall_s: f64_field(&record, "wall_s")?,
-            runs: u64_field(&record, "runs")?,
-            instructions: u64_field(&record, "instructions")?,
+            kind: record.get("kind")?.as_str()?.to_string(),
+            wall_s: float("wall_s")?,
+            runs: uint("runs")?,
+            instructions: uint("instructions")?,
             // Renamed from "baseline_cache_hits" when the counter became
             // request-granular: records written under the old name (or
             // before a field existed) fail to load and simply re-run —
             // the standard incomplete-entry path, which also covers any
             // truncated file an unclean kill might have left before
             // writes became atomic.
-            baseline_requests: u64_field(&record, "baseline_requests")?,
-            events_processed: u64_field(&record, "events_processed")?,
-            cycles_skipped: u64_field(&record, "cycles_skipped")?,
-            run_wall_p50_s: f64_field(&record, "run_wall_p50_s")?,
-            run_wall_p99_s: f64_field(&record, "run_wall_p99_s")?,
+            baseline_requests: uint("baseline_requests")?,
+            events_processed: uint("events_processed")?,
+            cycles_skipped: uint("cycles_skipped")?,
+            run_wall_p50_s: float("run_wall_p50_s")?,
+            run_wall_p99_s: float("run_wall_p99_s")?,
         })
     }
 }

@@ -16,20 +16,14 @@
 //! read ([`read_segment`]), so a replay costs O(index + segment) in the
 //! recording, however long the rest of the file is.
 
+use mcd_sim::snapshot::config_hash;
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
 use mcd_sim::{SimConfig, TraceEvent};
+use mcd_trace::json;
 use mcd_trace::{read_anchor_at, read_index, read_segment, wire_identical, Episode};
 
-use crate::checkpoint::{fnv1a64, str_field, u64_field, FNV_OFFSET};
 use crate::error::RunError;
 use crate::runner::{build_machine, ControllerActivity, RecorderSink, RunConfig, Scheme};
-
-/// Fingerprint of a simulator configuration — replay specs record it so
-/// a recording made under a non-default `SimConfig` fails loudly instead
-/// of silently replaying the wrong machine.
-fn sim_fingerprint(sim: &SimConfig) -> u64 {
-    fnv1a64(FNV_OFFSET, format!("{sim:?}").as_bytes())
-}
 
 /// Serializes everything needed to rebuild a registry run from scratch
 /// as one flat JSON object (parsed back by [`parse_replay_spec`]).
@@ -44,7 +38,7 @@ pub fn replay_spec(benchmark: &str, scheme: Scheme, cfg: &RunConfig) -> String {
         cfg.pid_interval,
         cfg.q_ref_scale,
         cfg.shard_ops.unwrap_or(0),
-        sim_fingerprint(&cfg.sim)
+        config_hash(&cfg.sim)
     )
 }
 
@@ -54,17 +48,27 @@ pub fn replay_spec(benchmark: &str, scheme: Scheme, cfg: &RunConfig) -> String {
 /// carry).
 pub fn parse_replay_spec(spec: &str) -> Result<(String, Scheme, RunConfig), RunError> {
     let err = |what: &str| RunError::Config(format!("replay spec: {what}: {spec}"));
-    let benchmark = str_field(spec, "benchmark").ok_or_else(|| err("no benchmark"))?;
-    let scheme_name = str_field(spec, "scheme").ok_or_else(|| err("no scheme"))?;
-    let scheme = Scheme::by_name(&scheme_name).ok_or_else(|| err("unknown scheme"))?;
-    let ops = u64_field(spec, "ops").ok_or_else(|| err("no ops"))?;
-    let seed = u64_field(spec, "seed").ok_or_else(|| err("no seed"))?;
-    let traces = u64_field(spec, "traces").ok_or_else(|| err("no traces flag"))? != 0;
-    let pid_interval = u64_field(spec, "pid_interval").ok_or_else(|| err("no pid_interval"))?;
-    let q_ref_scale =
-        crate::checkpoint::f64_field(spec, "q_ref_scale").ok_or_else(|| err("no q_ref_scale"))?;
-    let shard_ops = u64_field(spec, "shard_ops").ok_or_else(|| err("no shard_ops"))?;
-    let sim_fp = u64_field(spec, "sim_fp").ok_or_else(|| err("no sim fingerprint"))?;
+    let fields = json::parse(spec).map_err(|e| err(&e.to_string()))?;
+    let field = |key: &str| fields.get(key).ok_or_else(|| err(&format!("no {key}")));
+    let uint = |key: &str| {
+        field(key)?
+            .as_u64()
+            .ok_or_else(|| err(&format!("{key} is not a u64")))
+    };
+    let benchmark = field("benchmark")?
+        .as_str()
+        .ok_or_else(|| err("benchmark is not a string"))?;
+    let scheme = (field("scheme")?.as_str().and_then(Scheme::by_name))
+        .ok_or_else(|| err("unknown scheme"))?;
+    let ops = uint("ops")?;
+    let seed = uint("seed")?;
+    let traces = uint("traces")? != 0;
+    let pid_interval = uint("pid_interval")?;
+    let q_ref_scale = field("q_ref_scale")?
+        .as_f64()
+        .ok_or_else(|| err("q_ref_scale is not a number"))?;
+    let shard_ops = uint("shard_ops")?;
+    let sim_fp = uint("sim_fp")?;
     let cfg = RunConfig {
         ops,
         seed,
@@ -75,14 +79,14 @@ pub fn parse_replay_spec(spec: &str) -> Result<(String, Scheme, RunConfig), RunE
         warm_dir: None,
         sim: SimConfig::default(),
     };
-    if sim_fingerprint(&cfg.sim) != sim_fp {
+    if config_hash(&cfg.sim) != sim_fp {
         return Err(RunError::Config(
             "replay spec: the run was recorded under a non-default simulator \
              configuration, which the spec cannot reconstruct"
                 .to_string(),
         ));
     }
-    Ok((benchmark, scheme, cfg))
+    Ok((benchmark.to_string(), scheme, cfg))
 }
 
 /// The result of replaying one episode's segment.

@@ -16,7 +16,9 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{code_fingerprint, fnv1a64, write_file, FNV_OFFSET};
+use mcd_sim::snapshot::{fnv1a64, FNV_OFFSET};
+
+use crate::checkpoint::{code_fingerprint, write_file};
 use crate::error::RunError;
 
 /// Framing version of the store's header (bumped when it changes).

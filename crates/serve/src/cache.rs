@@ -23,16 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use mcd_bench::checkpoint::{code_fingerprint, write_file, CheckpointDir, CompletedRun};
 use mcd_bench::error::RunError;
-
-/// 64-bit FNV-1a over `bytes` (entry file names under the flush dir).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use mcd_sim::snapshot::{fnv1a64, FNV_OFFSET};
 
 /// One cached run: the experiment id, the full fingerprint it is
 /// addressed by, and the completed-run record whose bytes every
@@ -133,7 +124,7 @@ impl ResultCache {
             inner.map.values().cloned().collect()
         };
         for e in &entries {
-            let name = format!("{:016x}", fnv1a64(e.key.as_bytes()));
+            let name = format!("{:016x}", fnv1a64(FNV_OFFSET, e.key.as_bytes()));
             ck.store(&name, &e.run)?;
             write_file(
                 &dir.join(format!("{name}.key.txt")),

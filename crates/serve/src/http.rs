@@ -19,7 +19,7 @@
 //! are a 431, bodies past [`MAX_BODY`] a 413, so a hostile client costs
 //! the loop a bounded buffer and one deadline, never a thread.
 
-pub use mcd_trace::json_escape;
+pub use mcd_trace::json::json_escape;
 
 /// Largest accepted request body; larger requests get 413.
 pub const MAX_BODY: usize = 64 * 1024;

@@ -560,8 +560,8 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcd_bench::checkpoint::{f64_field, u64_field};
     use mcd_telemetry::prometheus::lint;
+    use mcd_trace::json::{self, Value};
 
     #[test]
     fn counters_land_in_the_rendered_json() {
@@ -578,16 +578,19 @@ mod tests {
             },
             &ControllerActivity::default(),
         );
-        let json = m.to_json(7, 1, 9, false);
-        assert_eq!(u64_field(&json, "accepted"), Some(5));
-        assert_eq!(u64_field(&json, "shed"), Some(2));
-        assert_eq!(u64_field(&json, "runs_executed"), Some(3));
-        assert_eq!(u64_field(&json, "queue_depth"), Some(7));
-        assert_eq!(u64_field(&json, "cache_entries"), Some(9));
-        assert_eq!(u64_field(&json, "instructions"), Some(123));
-        assert!(json.contains("\"draining\": false"));
-        assert!(
-            json.contains("\"domain\": \"INT\""),
+        let json = json::parse(&m.to_json(7, 1, 9, false)).expect("valid JSON");
+        let uint = |path| json.path(path).and_then(Value::as_u64);
+        assert_eq!(uint("service.accepted"), Some(5));
+        assert_eq!(uint("service.shed"), Some(2));
+        assert_eq!(uint("service.runs_executed"), Some(3));
+        assert_eq!(uint("service.queue_depth"), Some(7));
+        assert_eq!(uint("service.cache_entries"), Some(9));
+        assert_eq!(uint("simulation.instructions"), Some(123));
+        assert_eq!(json.path("service.draining"), Some(&Value::Bool(false)));
+        assert_eq!(
+            json.path("controller_activity.0.domain")
+                .and_then(Value::as_str),
+            Some("INT"),
             "per-domain counters present"
         );
     }
@@ -615,13 +618,17 @@ mod tests {
             },
             &a,
         );
-        let json = m.to_json(0, 0, 0, true);
-        assert_eq!(u64_field(&json, "runs"), Some(3));
-        assert_eq!(u64_field(&json, "instructions"), Some(40));
-        assert_eq!(u64_field(&json, "relay_fires"), Some(4));
-        assert!(json.contains("\"draining\": true"));
+        let json = json::parse(&m.to_json(0, 0, 0, true)).expect("valid JSON");
+        let uint = |path| json.path(path).and_then(Value::as_u64);
+        assert_eq!(uint("simulation.runs"), Some(3));
+        assert_eq!(uint("simulation.instructions"), Some(40));
+        assert_eq!(uint("controller_activity.0.relay_fires"), Some(4));
+        assert_eq!(json.path("service.draining"), Some(&Value::Bool(true)));
         // Reaction time is null with no completed reactions.
-        assert_eq!(f64_field(&json, "mean_reaction_ns"), None);
+        assert_eq!(
+            json.path("controller_activity.0.mean_reaction_ns"),
+            Some(&Value::Null)
+        );
     }
 
     #[test]
@@ -665,7 +672,11 @@ mod tests {
         // One more request lands after the snapshot was taken...
         m.requests.fetch_add(1, Ordering::Relaxed);
         // ...and both renderers still agree, because they read the cut.
-        assert_eq!(u64_field(&snap.to_json(), "requests"), Some(11));
+        let json = json::parse(&snap.to_json()).expect("valid JSON");
+        assert_eq!(
+            json.path("service.requests").and_then(Value::as_u64),
+            Some(11)
+        );
         assert!(snap.to_prometheus().contains("mcd_serve_requests_total 11"));
     }
 }

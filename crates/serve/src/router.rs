@@ -24,15 +24,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mcd_bench::checkpoint::{
-    code_fingerprint, f64_field, str_field, u64_field, CheckpointDir, CompletedRun,
-};
+use mcd_bench::checkpoint::{code_fingerprint, CheckpointDir, CompletedRun};
 use mcd_bench::error::RunError;
 use mcd_bench::experiments;
 use mcd_bench::parallel::isolated;
 use mcd_bench::runner::{ControllerActivity, EventTap, RunConfig, RunSet, RunStats};
 use mcd_sim::trace::TraceEvent;
 use mcd_telemetry::prometheus::CONTENT_TYPE;
+use mcd_trace::json::{self, Value};
 use mcd_trace::{encode_event_frame, encode_meta_frame};
 
 use crate::cache::{CachedRun, ResultCache};
@@ -505,48 +504,52 @@ fn experiments_json() -> String {
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
-/// Parses an optional unsigned field, distinguishing "absent" (fine)
-/// from "present but not an unsigned integer" (a `Config` error).
-fn opt_u64(text: &str, key: &str) -> Result<Option<u64>, RunError> {
-    if !text.contains(&format!("\"{key}\"")) {
-        return Ok(None);
-    }
-    match u64_field(text, key) {
-        Some(v) => Ok(Some(v)),
-        None => Err(RunError::Config(format!(
-            "{key} must be an unsigned integer"
-        ))),
-    }
-}
-
-/// [`opt_u64`] for floats.
-fn opt_f64(text: &str, key: &str) -> Result<Option<f64>, RunError> {
-    if !text.contains(&format!("\"{key}\"")) {
-        return Ok(None);
-    }
-    match f64_field(text, key) {
-        Some(v) => Ok(Some(v)),
-        None => Err(RunError::Config(format!("{key} must be a number"))),
-    }
-}
-
 /// Validates a `/run` body into an experiment id and run configuration.
-/// The body is a flat JSON object: `experiment` (required; `headline`
-/// aliases `fig9`) plus optional `ops`, `seed`, `pid_interval`,
-/// `q_ref_scale` overrides on the server's base configuration — the
-/// exact knobs the checkpoint fingerprint covers.
+/// The body is one JSON object, read strictly by [`mcd_trace::json`]:
+/// `experiment` (required; `headline` aliases `fig9`) plus optional
+/// `ops`, `seed`, `pid_interval`, `q_ref_scale` overrides on the
+/// server's base configuration — the exact knobs the checkpoint
+/// fingerprint covers. Any other key is refused by name, so a typo
+/// never silently runs the base configuration.
 fn parse_run_request(body: &[u8], base: &RunConfig) -> Result<(&'static str, RunConfig), RunError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| RunError::Config("request body is not UTF-8".into()))?;
-    if text.trim().is_empty() {
-        return Err(RunError::Config(
-            "empty request body; expected {\"experiment\": \"<id>\", ...}".into(),
-        ));
+    let bad = RunError::Config;
+    let text = std::str::from_utf8(body).map_err(|_| bad("request body is not UTF-8".into()))?;
+    let Value::Obj(members) = json::parse(text).map_err(|e| bad(format!("request body: {e}")))?
+    else {
+        return Err(bad("request body must be a JSON object".into()));
+    };
+    let mut requested = None;
+    let mut cfg = base.clone();
+    for (key, v) in &members {
+        let string = || {
+            v.as_str()
+                .ok_or_else(|| bad(format!("{key} must be a string")))
+        };
+        let uint = || (v.as_u64()).ok_or_else(|| bad(format!("{key} must be an unsigned integer")));
+        let positive = || {
+            (v.as_u64().filter(|&n| n > 0))
+                .ok_or_else(|| bad(format!("{key} must be a positive integer")))
+        };
+        match key.as_str() {
+            "experiment" => requested = Some(string()?),
+            "ops" => cfg.ops = positive()?,
+            "seed" => cfg.seed = uint()?,
+            "pid_interval" => cfg.pid_interval = positive()?,
+            "q_ref_scale" => {
+                cfg.q_ref_scale = (v.as_f64().filter(|s| s.is_finite() && *s > 0.0))
+                    .ok_or_else(|| bad("q_ref_scale must be a positive finite number".into()))?
+            }
+            other => {
+                return Err(bad(format!(
+                    "unknown key {other:?}; a /run body takes experiment, ops, seed, \
+                     pid_interval and q_ref_scale"
+                )))
+            }
+        }
     }
-    let requested = str_field(text, "experiment")
-        .ok_or_else(|| RunError::Config("missing \"experiment\" field".into()))?;
+    let requested = requested.ok_or_else(|| bad("missing \"experiment\" field".into()))?;
     let requested = if requested == "headline" {
-        "fig9".to_string()
+        "fig9"
     } else {
         requested
     };
@@ -554,32 +557,7 @@ fn parse_run_request(body: &[u8], base: &RunConfig) -> Result<(&'static str, Run
         .iter()
         .copied()
         .find(|e| *e == requested)
-        .ok_or_else(|| RunError::Config(format!("unknown experiment id {requested}")))?;
-
-    let mut cfg = base.clone();
-    if let Some(ops) = opt_u64(text, "ops")? {
-        if ops == 0 {
-            return Err(RunError::Config("ops must be positive".into()));
-        }
-        cfg.ops = ops;
-    }
-    if let Some(seed) = opt_u64(text, "seed")? {
-        cfg.seed = seed;
-    }
-    if let Some(interval) = opt_u64(text, "pid_interval")? {
-        if interval == 0 {
-            return Err(RunError::Config("pid_interval must be positive".into()));
-        }
-        cfg.pid_interval = interval;
-    }
-    if let Some(scale) = opt_f64(text, "q_ref_scale")? {
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(RunError::Config(
-                "q_ref_scale must be a positive finite number".into(),
-            ));
-        }
-        cfg.q_ref_scale = scale;
-    }
+        .ok_or_else(|| bad(format!("unknown experiment id {requested}")))?;
     Ok((id, cfg))
 }
 
@@ -615,7 +593,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_requests_with_config_errors() {
-        let cases: [&[u8]; 7] = [
+        let cases: [&[u8]; 13] = [
             b"",
             b"{\"ops\": 100}",
             br#"{"experiment": "nope"}"#,
@@ -623,6 +601,12 @@ mod tests {
             br#"{"experiment": "fig9", "ops": -5}"#,
             br#"{"experiment": "fig9", "pid_interval": 0}"#,
             br#"{"experiment": "fig9", "q_ref_scale": -1.0}"#,
+            br#"{"experiment": "fig9", "seed": 1, "seed": 2}"#,
+            br#"{"experiment": "fig9", "seed": {"v": 5}}"#,
+            br#"{"experiment": "fig9"} trailing garbage"#,
+            br#"["experiment", "fig9"]"#,
+            br#"{"experiment": 9}"#,
+            br#"{"experiment": "fig9", "seed": 05}"#,
         ];
         for body in cases {
             let err = parse_run_request(body, &base()).unwrap_err();
@@ -632,6 +616,41 @@ mod tests {
                 "{:?}",
                 String::from_utf8_lossy(body)
             );
+        }
+    }
+
+    #[test]
+    fn whitespace_before_a_colon_is_accepted() {
+        let (id, cfg) =
+            parse_run_request(br#"{"experiment" : "fig8", "seed" : 5}"#, &base()).expect("valid");
+        assert_eq!((id, cfg.seed), ("fig8", 5));
+    }
+
+    #[test]
+    fn unknown_keys_and_ids_are_named() {
+        let err = parse_run_request(br#"{"experiment": "fig9", "sede": 5}"#, &base()).unwrap_err();
+        assert!(err.to_string().contains("unknown key \"sede\""), "{err}");
+        let err = parse_run_request(br#"{"experiment": "ops"}"#, &base()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown experiment id ops"),
+            "{err}"
+        );
+    }
+
+    /// Every `curl … /run … -d '<body>'` line in the README is a body
+    /// the strict reader accepts, so the documented requests cannot
+    /// drift from the rules.
+    #[test]
+    fn readme_run_bodies_are_accepted() {
+        let bodies: Vec<&str> = include_str!("../../../README.md")
+            .lines()
+            .filter(|l| l.trim_start().starts_with("curl") && l.contains("/run"))
+            .filter_map(|l| l.split_once("-d '")?.1.split_once('\'').map(|(b, _)| b))
+            .collect();
+        assert!(bodies.len() >= 3, "README /run examples: {bodies:?}");
+        for body in bodies {
+            parse_run_request(body.as_bytes(), &base())
+                .unwrap_or_else(|e| panic!("README body {body} is refused: {e}"));
         }
     }
 

@@ -14,7 +14,7 @@ mod util;
 use std::sync::{Arc, Barrier};
 
 use mcd_serve::{ServeConfig, Server};
-use util::{metric, run, Reply};
+use util::{json_at, metric, run, Reply};
 
 /// 32 clients — 8 distinct fig8 configurations, each requested by 4
 /// threads simultaneously — must cost exactly 8 simulations, with the
@@ -64,9 +64,10 @@ fn duplicates_coalesce_to_one_run_per_fingerprint() {
                 "duplicates of config {d} must be byte-identical"
             );
         }
-        assert!(
-            first.contains("\"experiment\": \"fig8\""),
-            "run response carries the experiment id: {first}"
+        assert_eq!(
+            json_at(first, "experiment").as_str(),
+            Some("fig8"),
+            "run response carries the experiment id"
         );
     }
     // Distinct seeds land in the fingerprint, so configs must not share
@@ -80,14 +81,14 @@ fn duplicates_coalesce_to_one_run_per_fingerprint() {
 
     // Exactly one execution per fingerprint; every duplicate was either
     // a follower on the flight or a cache hit — never a re-run.
-    assert_eq!(metric(addr, "runs_executed"), DISTINCT as u64);
+    assert_eq!(metric(addr, "service.runs_executed"), DISTINCT as u64);
     assert_eq!(
-        metric(addr, "cache_hits") + metric(addr, "coalesced"),
+        metric(addr, "service.cache_hits") + metric(addr, "service.coalesced"),
         (DISTINCT * (DUPLICATES - 1)) as u64
     );
-    assert_eq!(metric(addr, "run_failures"), 0);
+    assert_eq!(metric(addr, "service.run_failures"), 0);
     assert_eq!(
-        metric(addr, "shed"),
+        metric(addr, "service.shed"),
         0,
         "queue was large enough: nothing shed"
     );
@@ -151,17 +152,17 @@ fn full_queue_burst_sheds_while_accepted_requests_complete() {
             Some(7),
             "shed responses advertise Retry-After"
         );
-        assert!(r.body.contains("\"error\": \"overloaded\""), "{}", r.body);
+        assert_eq!(json_at(&r.body, "error").as_str(), Some("overloaded"));
     }
     let first = &ok[0].body;
     for r in &ok[1..] {
         assert_eq!(&r.body, first, "accepted duplicates stay byte-identical");
     }
 
-    assert_eq!(metric(addr, "shed"), shed.len() as u64);
-    assert_eq!(metric(addr, "run_failures"), 0);
+    assert_eq!(metric(addr, "service.shed"), shed.len() as u64);
+    assert_eq!(metric(addr, "service.run_failures"), 0);
     assert!(
-        metric(addr, "runs_executed") >= 1,
+        metric(addr, "service.runs_executed") >= 1,
         "at least the leader executed"
     );
 
@@ -207,9 +208,9 @@ fn a_run_timeout_past_the_clocks_range_still_coalesces() {
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(r.body, replies[0].body, "one shared response");
     }
-    assert_eq!(metric(addr, "runs_executed"), 1);
+    assert_eq!(metric(addr, "service.runs_executed"), 1);
     assert!(
-        metric(addr, "coalesced") >= 1,
+        metric(addr, "service.coalesced") >= 1,
         "at least one duplicate took the follower path"
     );
 

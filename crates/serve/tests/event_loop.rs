@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mcd_serve::{ServeConfig, Server};
-use util::{metric, KeepAlive};
+use util::{json_at, metric, KeepAlive};
 
 /// One connection, many requests: HTTP/1.1 defaults to keep-alive, the
 /// server honors it, and the reuse counter proves the requests really
@@ -27,7 +27,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
             .unwrap_or_else(|e| panic!("request {i} on a reused connection: {e}"));
         assert_eq!(reply.status, 200);
         assert!(!reply.closing, "keep-alive responses must not close");
-        assert!(reply.body.contains("\"status\": \"ok\""));
+        assert_eq!(json_at(&reply.body, "status").as_str(), Some("ok"));
     }
     // A second endpoint on the same socket, for good measure.
     let reply = conn.exchange("GET", "/experiments", b"").expect("reused");
@@ -36,12 +36,12 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     // The scrape connection counts itself, so 10 requests cost 2
     // accepts total: this keep-alive socket plus the metrics probe.
     assert_eq!(
-        metric(addr, "accepted"),
+        metric(addr, "service.accepted"),
         2,
         "one connection besides the scrape"
     );
     assert!(
-        metric(addr, "keepalive_reuses") >= 10,
+        metric(addr, "event_loop.keepalive_reuses") >= 10,
         "reuse counter tracks second-and-later requests"
     );
 
@@ -87,20 +87,20 @@ fn pipelined_requests_in_one_segment_answer_in_order() {
 
     let first = conn.read_reply().expect("healthz");
     assert_eq!(first.status, 200);
-    assert!(first.body.contains("\"status\": \"ok\""), "{}", first.body);
+    assert_eq!(json_at(&first.body, "status").as_str(), Some("ok"));
     let second = conn.read_reply().expect("run");
     assert_eq!(second.status, 200, "{}", second.body);
-    assert!(
-        second.body.contains("\"experiment\": \"table1\""),
-        "pipelined run answers in position two: {}",
-        second.body
+    assert_eq!(
+        json_at(&second.body, "experiment").as_str(),
+        Some("table1"),
+        "pipelined run answers in position two"
     );
     let third = conn.read_reply().expect("experiments");
     assert_eq!(third.status, 200);
-    assert!(third.body.contains("\"kind\""), "{}", third.body);
+    json_at(&third.body, "0.kind");
 
     // This socket plus the metrics scrape itself.
-    assert_eq!(metric(addr, "accepted"), 2);
+    assert_eq!(metric(addr, "service.accepted"), 2);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -120,9 +120,9 @@ fn partial_reads_across_readiness_events_reassemble() {
     }
     let reply = conn.read_reply().expect("reassembled request answers");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(reply.body.contains("\"experiment\": \"table1\""));
+    assert_eq!(json_at(&reply.body, "experiment").as_str(), Some("table1"));
     assert_eq!(
-        metric(addr, "run_requests"),
+        metric(addr, "service.run_requests"),
         1,
         "one request, not one per fragment"
     );
@@ -178,7 +178,7 @@ fn idle_deadline_closes_quiet_connections() {
         "idle close is silent, got {:?}",
         String::from_utf8_lossy(&rest)
     );
-    assert!(metric(addr, "deadline_closes") >= 1);
+    assert!(metric(addr, "event_loop.deadline_closes") >= 1);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -201,7 +201,7 @@ fn stalled_request_answers_408_on_the_read_deadline() {
     let reply = conn.read_reply().expect("408 arrives despite the stall");
     assert_eq!(reply.status, 408, "{}", reply.body);
     assert!(reply.closing);
-    assert!(metric(addr, "deadline_closes") >= 1);
+    assert!(metric(addr, "event_loop.deadline_closes") >= 1);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -274,11 +274,7 @@ fn shed_under_keep_alive_closes_and_the_503_survives() {
     }
     let shed = shed.expect("a saturated 1-deep queue must shed the probe");
     assert_eq!(shed.retry_after, Some(3), "Retry-After advertised");
-    assert!(
-        shed.body.contains("\"error\": \"overloaded\""),
-        "{}",
-        shed.body
-    );
+    assert_eq!(json_at(&shed.body, "error").as_str(), Some("overloaded"));
     assert!(
         shed.closing,
         "shed on a keep-alive connection must answer Connection: close"
@@ -303,6 +299,6 @@ fn shed_under_keep_alive_closes_and_the_503_survives() {
         }
     }
     assert!(ok >= 1, "the admitted flight completes for its clients");
-    assert!(metric(addr, "shed") >= 1);
+    assert!(metric(addr, "service.shed") >= 1);
     server.shutdown().expect("clean shutdown");
 }

@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mcd_serve::{ServeConfig, Server};
-use util::{metric, request, run};
+use util::{json_at, metric, request, run};
 
 /// Simulation pool workers alive in this process, by thread name. Each
 /// run attempt owns a private run set whose workers are named
@@ -64,7 +64,7 @@ fn injected_timeouts_surface_as_504_and_the_server_recovers() {
 
     for r in &replies {
         assert_eq!(r.status, 504, "injected delay must map to 504: {}", r.body);
-        assert!(r.body.contains("\"error\": \"timeout\""), "{}", r.body);
+        assert_eq!(json_at(&r.body, "error").as_str(), Some("timeout"));
         assert_eq!(
             r.body, replies[0].body,
             "a coalesced flight shares one failure body"
@@ -73,14 +73,18 @@ fn injected_timeouts_surface_as_504_and_the_server_recovers() {
     // The timed-out attempts were stopped, not abandoned: no thread
     // started for them is still running once the 504s are in hand.
     assert_eq!(simulation_threads(), 0, "a timed-out run outlived its 504");
-    let failures = metric(addr, "run_failures");
+    let failures = metric(addr, "service.run_failures");
     assert_eq!(
-        metric(addr, "runs_executed"),
+        metric(addr, "service.runs_executed"),
         failures,
         "every execution under the fault failed"
     );
     assert!(failures >= 1, "at least the leader executed and failed");
-    assert_eq!(metric(addr, "cache_hits"), 0, "failures are never cached");
+    assert_eq!(
+        metric(addr, "service.cache_hits"),
+        0,
+        "failures are never cached"
+    );
 
     // The server itself stays healthy while the experiment is faulty.
     let health = request(addr, "GET", "/healthz", b"").expect("healthz answers");
@@ -99,7 +103,11 @@ fn injected_timeouts_surface_as_504_and_the_server_recovers() {
         "the fingerprint must not be poisoned by earlier failures: {}",
         recovered.body
     );
-    assert_eq!(metric(addr, "run_failures"), failures, "no new failures");
+    assert_eq!(
+        metric(addr, "service.run_failures"),
+        failures,
+        "no new failures"
+    );
 
     server.shutdown().expect("clean shutdown");
 }

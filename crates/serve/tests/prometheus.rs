@@ -5,10 +5,10 @@
 
 mod util;
 
-use mcd_bench::checkpoint::{code_fingerprint, f64_field, str_field, u64_field};
+use mcd_bench::checkpoint::code_fingerprint;
 use mcd_serve::{ServeConfig, Server};
 use mcd_telemetry::prometheus::{lint, CONTENT_TYPE};
-use util::{metric, request, run};
+use util::{json_at, metric, request, run};
 
 #[test]
 fn metrics_page_is_lint_clean_prometheus_with_latency_series() {
@@ -79,16 +79,18 @@ fn format_json_preserves_the_json_schema() {
         "queue_depth",
     ] {
         assert!(
-            u64_field(&reply.body, field).is_some(),
+            json_at(&reply.body, &format!("service.{field}"))
+                .as_u64()
+                .is_some(),
             "field {field} missing from {}",
             reply.body
         );
     }
-    assert!(reply.body.contains("\"service\""));
-    assert!(reply.body.contains("\"simulation\""));
-    assert!(reply.body.contains("\"controller_activity\""));
+    // The other sections are there too (`json_at` panics on a missing path).
+    json_at(&reply.body, "simulation.runs");
+    json_at(&reply.body, "controller_activity.0.relay_fires");
     // The util helper reads the same JSON view; both agree.
-    assert_eq!(metric(addr, "runs_executed"), 1);
+    assert_eq!(metric(addr, "service.runs_executed"), 1);
 
     server.shutdown().expect("clean shutdown");
 }
@@ -100,16 +102,18 @@ fn healthz_reports_uptime_fingerprint_and_pool_load() {
 
     let reply = request(addr, "GET", "/healthz", b"").expect("healthz answers");
     assert_eq!(reply.status, 200);
-    assert_eq!(str_field(&reply.body, "status").as_deref(), Some("ok"));
+    assert_eq!(json_at(&reply.body, "status").as_str(), Some("ok"));
     assert_eq!(
-        str_field(&reply.body, "code_fingerprint"),
-        Some(code_fingerprint()),
+        json_at(&reply.body, "code_fingerprint").as_str(),
+        Some(code_fingerprint().as_str()),
         "healthz names the running binary"
     );
-    let uptime = f64_field(&reply.body, "uptime_s").expect("uptime present");
+    let uptime = json_at(&reply.body, "uptime_s")
+        .as_f64()
+        .expect("uptime is a number");
     assert!(uptime >= 0.0, "uptime is non-negative: {uptime}");
-    assert!(u64_field(&reply.body, "queue_depth").is_some());
-    assert!(u64_field(&reply.body, "in_flight").is_some());
+    assert!(json_at(&reply.body, "queue_depth").as_u64().is_some());
+    assert!(json_at(&reply.body, "in_flight").as_u64().is_some());
 
     server.shutdown().expect("clean shutdown");
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 use mcd_bench::checkpoint::{code_fingerprint_for, CheckpointDir, CompletedRun};
 use mcd_serve::cache::WarmReport;
 use mcd_serve::{ServeConfig, Server};
-use util::{metric, request, run};
+use util::{json_at, metric, request, run};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mcd-serve-shutdown-{tag}-{}", std::process::id()))
@@ -99,11 +99,15 @@ fn drain_completes_in_flight_work_and_restart_is_warm() {
         "a warm cache hit reproduces the original response bytes"
     );
     assert_eq!(
-        metric(addr2, "cache_hits"),
+        metric(addr2, "service.cache_hits"),
         1,
         "answered from the warm cache"
     );
-    assert_eq!(metric(addr2, "runs_executed"), 0, "no re-simulation");
+    assert_eq!(
+        metric(addr2, "service.runs_executed"),
+        0,
+        "no re-simulation"
+    );
 
     restarted.shutdown().expect("clean shutdown");
     std::fs::remove_dir_all(&dir).ok();
@@ -117,11 +121,11 @@ fn http_shutdown_endpoint_drains_and_refuses() {
 
     let healthy = request(addr, "GET", "/healthz", b"").expect("healthz answers");
     assert_eq!(healthy.status, 200);
-    assert!(healthy.body.contains("\"ok\""), "{}", healthy.body);
+    assert_eq!(json_at(&healthy.body, "status").as_str(), Some("ok"));
 
     let reply = request(addr, "POST", "/shutdown", b"").expect("shutdown answers");
     assert_eq!(reply.status, 200);
-    assert!(reply.body.contains("\"draining\""), "{}", reply.body);
+    assert_eq!(json_at(&reply.body, "status").as_str(), Some("draining"));
 
     let report = server.finish().expect("drain completes");
     assert_eq!(report.flushed, 0, "no warm dir configured");
@@ -182,8 +186,16 @@ fn stale_warm_dir_from_an_older_binary_is_discarded() {
     )
     .expect("run answered");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    assert_eq!(metric(addr, "cache_hits"), 0, "nothing stale is served");
-    assert_eq!(metric(addr, "runs_executed"), 1, "the run executed fresh");
+    assert_eq!(
+        metric(addr, "service.cache_hits"),
+        0,
+        "nothing stale is served"
+    );
+    assert_eq!(
+        metric(addr, "service.runs_executed"),
+        1,
+        "the run executed fresh"
+    );
 
     let report = server.shutdown().expect("clean shutdown");
     assert_eq!(

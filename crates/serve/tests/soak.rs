@@ -9,7 +9,7 @@
 //!   the soak carries identical simulation content (coalescing, cache
 //!   and deterministic simulation end to end). Only the wall-clock
 //!   fields (`wall_s`, `simulated_mips`, `run_wall_p50_s`,
-//!   `run_wall_p99_s`) are scrubbed before comparing: the small cache
+//!   `run_wall_p99_s`) are dropped before comparing: the small cache
 //!   forces evicted fingerprints to re-execute, and a re-execution
 //!   legitimately takes a different wall time;
 //! - the server still drains cleanly afterwards.
@@ -21,6 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mcd_serve::{ServeConfig, Server};
+use mcd_trace::json::{self, Value};
 use util::request;
 
 /// Tiny deterministic generator so client schedules are reproducible
@@ -37,30 +38,22 @@ impl Lcg {
     }
 }
 
-/// Replaces the value of a flat-JSON numeric field with `_`, so bodies
-/// can be compared modulo wall-clock measurements.
-fn scrub(body: &str, key: &str) -> String {
-    let pat = format!("\"{key}\": ");
-    let Some(start) = body.find(&pat).map(|i| i + pat.len()) else {
-        return body.to_string();
-    };
-    let end = body[start..]
-        .find([',', '}'])
-        .map(|i| start + i)
-        .unwrap_or(body.len());
-    format!("{}_{}", &body[..start], &body[end..])
-}
-
-/// The deterministic portion of a `/run` response body.
-fn canonical_body(body: &str) -> String {
-    [
+/// The deterministic portion of a `/run` response body: the parsed
+/// body with the record's wall-clock measurements removed.
+fn canonical_body(body: &str) -> Value {
+    const WALL: [&str; 4] = [
         "wall_s",
         "simulated_mips",
         "run_wall_p50_s",
         "run_wall_p99_s",
-    ]
-    .iter()
-    .fold(body.to_string(), |b, key| scrub(&b, key))
+    ];
+    let Ok(Value::Obj(mut members)) = json::parse(body) else {
+        panic!("a /run body is a JSON object: {body}");
+    };
+    if let Some((_, Value::Obj(record))) = members.iter_mut().find(|(k, _)| k == "record") {
+        record.retain(|(k, _)| !WALL.contains(&k.as_str()));
+    }
+    Value::Obj(members)
 }
 
 #[test]
@@ -90,7 +83,7 @@ fn sustained_mixed_traffic_stays_sound() {
             )
         })
         .collect();
-    let canonical: Arc<Mutex<HashMap<String, String>>> = Arc::new(Mutex::new(HashMap::new()));
+    let canonical: Arc<Mutex<HashMap<String, Value>>> = Arc::new(Mutex::new(HashMap::new()));
     let deadline = Instant::now() + Duration::from_secs(secs);
 
     let clients: Vec<_> = (0..8u64)

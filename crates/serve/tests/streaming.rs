@@ -7,10 +7,10 @@ mod util;
 
 use std::time::Duration;
 
-use mcd_bench::checkpoint::{str_field, CheckpointDir};
+use mcd_bench::checkpoint::CheckpointDir;
 use mcd_bench::runner::RunConfig;
 use mcd_serve::{ServeConfig, Server};
-use util::{metric, run, KeepAlive};
+use util::{json_at, metric, run, KeepAlive};
 
 /// The fan-out key a `/run` body maps to, computed the way the router
 /// computes it. The final assertion in each test cross-checks this
@@ -44,10 +44,9 @@ fn streamed_final_line_equals_unstreamed_body() {
         "a fresh run streams trace events before the final line, got {lines:?}"
     );
     for event in &lines[..lines.len() - 1] {
-        assert!(
-            event.contains("\"label\"") && event.contains("\"event\""),
-            "event lines carry a label and the trace event: {event:?}"
-        );
+        // Event lines carry a label and the trace event.
+        json_at(event, "label");
+        json_at(event, "event");
     }
     let final_line = lines.last().expect("final line").clone();
 
@@ -69,12 +68,12 @@ fn streamed_final_line_equals_unstreamed_body() {
     assert_eq!(status, 200);
     assert_eq!(lines.last(), Some(&plain.body), "cached replay, same bytes");
 
-    let reported = str_field(&plain.body, "fingerprint").expect("fingerprint field");
-    assert_eq!(reported, key_for("fig8", 60000, 11));
-    assert!(metric(addr, "streams_opened") >= 2);
-    assert!(metric(addr, "stream_events") >= 1);
+    let reported = json_at(&plain.body, "fingerprint");
+    assert_eq!(reported.as_str(), Some(key_for("fig8", 60000, 11).as_str()));
+    assert!(metric(addr, "streaming.streams_opened") >= 2);
+    assert!(metric(addr, "streaming.stream_events") >= 1);
     assert_eq!(
-        metric(addr, "runs_executed"),
+        metric(addr, "service.runs_executed"),
         1,
         "one execution fed both streams"
     );
@@ -123,17 +122,16 @@ fn watcher_tails_an_in_flight_run_to_the_same_final_line() {
         "watcher's final line is the runner's exact response body"
     );
     for event in &tail[..tail.len() - 1] {
-        assert!(
-            event.contains("\"label\"") && event.contains("\"event\""),
-            "tailed lines are labeled trace events: {event:?}"
-        );
+        // Tailed lines are labeled trace events.
+        json_at(event, "label");
+        json_at(event, "event");
     }
     assert_eq!(
-        str_field(&reply.body, "fingerprint").as_deref(),
+        json_at(&reply.body, "fingerprint").as_str(),
         Some(key.as_str()),
         "the advertised fingerprint is the watchable key"
     );
-    assert!(metric(addr, "streams_opened") >= 1);
+    assert!(metric(addr, "streaming.streams_opened") >= 1);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -195,8 +193,11 @@ fn binary_stream_decodes_to_the_same_final_body() {
     assert_eq!(plain.status, 200);
     assert_eq!(format!("{line}\n"), plain.body, "meta frame is the body");
 
-    assert!(metric(addr, "stream_frames") >= 1, "frame counter moved");
-    assert_eq!(metric(addr, "runs_executed"), 1);
+    assert!(
+        metric(addr, "streaming.stream_frames") >= 1,
+        "frame counter moved"
+    );
+    assert_eq!(metric(addr, "service.runs_executed"), 1);
     server.shutdown().expect("clean shutdown");
 }
 
@@ -249,13 +250,15 @@ fn mid_stream_disconnect_leaks_no_registrations() {
     // registry gauges drained to zero.
     let mut cleaned = false;
     for _ in 0..100 {
-        if metric(addr, "stream_subscribers") == 0 && metric(addr, "stream_rooms") == 0 {
+        if metric(addr, "streaming.stream_subscribers") == 0
+            && metric(addr, "streaming.stream_rooms") == 0
+        {
             cleaned = true;
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(cleaned, "disconnected subscriber must be unregistered");
-    assert_eq!(metric(addr, "runs_executed"), 1);
+    assert_eq!(metric(addr, "service.runs_executed"), 1);
     server.shutdown().expect("clean shutdown");
 }

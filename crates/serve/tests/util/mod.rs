@@ -1,13 +1,15 @@
 //! Shared HTTP client helpers for the integration suites: a one-shot
 //! raw `TcpStream` client (`Connection: close`), a keep-alive client
 //! that reads responses by `Content-Length` and can decode chunked
-//! trace streams, plus small metric readers.
+//! trace streams, plus readers for JSON reply fields and metrics.
 
 #![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use mcd_trace::json::{self, Value};
 
 /// A parsed response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,12 +289,23 @@ pub fn run(addr: SocketAddr, body: &str) -> std::io::Result<Reply> {
     request(addr, "POST", "/run", body.as_bytes())
 }
 
-/// Reads one unsigned counter out of `GET /metrics?format=json` (the
-/// bare endpoint serves Prometheus text).
-pub fn metric(addr: SocketAddr, field: &str) -> u64 {
+/// Parses a JSON reply body strictly and returns the value at `path`
+/// (`service.accepted`, `controller_activity.0.relay_fires`). Panics
+/// with the body when it is not JSON or the path is absent.
+pub fn json_at(body: &str, path: &str) -> Value {
+    let doc = json::parse(body).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {body}"));
+    doc.path(path)
+        .cloned()
+        .unwrap_or_else(|| panic!("no {path} in {body}"))
+}
+
+/// Reads one unsigned counter, by path, out of `GET /metrics?format=json`
+/// (the bare endpoint serves Prometheus text).
+pub fn metric(addr: SocketAddr, path: &str) -> u64 {
     let reply =
         request(addr, "GET", "/metrics?format=json", b"").expect("metrics endpoint answers");
     assert_eq!(reply.status, 200, "metrics must be 200: {}", reply.body);
-    mcd_bench::checkpoint::u64_field(&reply.body, field)
-        .unwrap_or_else(|| panic!("no field {field} in {}", reply.body))
+    json_at(&reply.body, path)
+        .as_u64()
+        .unwrap_or_else(|| panic!("{path} is not a counter in {}", reply.body))
 }

@@ -56,6 +56,19 @@ impl SnapshotSource for mcd_workloads::TraceGenerator {
     }
 }
 
+/// FNV-1a 64-bit offset basis: the seed of an [`fnv1a64`] chain.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a, folded over `bytes` starting from `h` (chain calls
+/// with the previous result; seed with [`FNV_OFFSET`]).
+pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A structural fingerprint of a [`SimConfig`], stored in every snapshot
 /// header so a restore into a differently-configured machine fails with a
 /// named mismatch instead of corrupted state.
@@ -65,12 +78,7 @@ impl SnapshotSource for mcd_workloads::TraceGenerator {
 /// shortest-round-trip precision, so distinct configurations hash
 /// distinctly for all practical purposes.
 pub fn config_hash(cfg: &SimConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{cfg:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(FNV_OFFSET, format!("{cfg:?}").as_bytes())
 }
 
 #[cfg(test)]

@@ -39,7 +39,8 @@ impl SignalKind {
         }
     }
 
-    fn label(self) -> &'static str {
+    /// The signal as serialized in trace lines (`occupancy`, `delta`).
+    pub fn label(self) -> &'static str {
         match self {
             SignalKind::Occupancy => "occupancy",
             SignalKind::Delta => "delta",
@@ -57,7 +58,8 @@ pub enum StepDir {
 }
 
 impl StepDir {
-    fn label(self) -> &'static str {
+    /// The direction as serialized in trace lines (`up`, `down`).
+    pub fn label(self) -> &'static str {
         match self {
             StepDir::Up => "up",
             StepDir::Down => "down",

@@ -224,60 +224,27 @@ const TAG_RELAY_RESET: u8 = 4;
 const TAG_FREQ_STEP: u8 = 5;
 const TAG_QUEUE_HISTOGRAM: u8 = 6;
 
-pub(crate) fn domain_from_index(i: u8) -> Result<DomainId, TraceCodecError> {
-    match i {
-        0 => Ok(DomainId::FrontEnd),
-        1 => Ok(DomainId::Int),
-        2 => Ok(DomainId::Fp),
-        3 => Ok(DomainId::Ls),
-        _ => Err(err(format!("bad domain index {i}"))),
-    }
+/// The variant lists both trace encodings share: in `.mcdt` a variant's
+/// byte is its position in its list, in JSONL its text is its `label()`.
+pub(crate) const SIGNALS: [SignalKind; 2] = [SignalKind::Occupancy, SignalKind::Delta];
+pub(crate) const DIRS: [StepDir; 2] = [StepDir::Up, StepDir::Down];
+pub(crate) const REASONS: [ResetReason; 4] = [
+    ResetReason::BackInside,
+    ResetReason::SideFlip,
+    ResetReason::Cancelled,
+    ResetReason::Acted,
+];
+
+/// A variant's wire byte: its position in `all`.
+fn byte<T: PartialEq>(all: &[T], v: &T) -> u8 {
+    all.iter()
+        .position(|x| x == v)
+        .expect("every variant is listed") as u8
 }
 
-fn signal_byte(s: SignalKind) -> u8 {
-    s.index() as u8
-}
-
-fn signal_from(b: u8) -> Result<SignalKind, TraceCodecError> {
-    match b {
-        0 => Ok(SignalKind::Occupancy),
-        1 => Ok(SignalKind::Delta),
-        _ => Err(err(format!("bad signal byte {b}"))),
-    }
-}
-
-fn dir_byte(d: StepDir) -> u8 {
-    match d {
-        StepDir::Up => 0,
-        StepDir::Down => 1,
-    }
-}
-
-fn dir_from(b: u8) -> Result<StepDir, TraceCodecError> {
-    match b {
-        0 => Ok(StepDir::Up),
-        1 => Ok(StepDir::Down),
-        _ => Err(err(format!("bad direction byte {b}"))),
-    }
-}
-
-fn why_byte(w: ResetReason) -> u8 {
-    match w {
-        ResetReason::BackInside => 0,
-        ResetReason::SideFlip => 1,
-        ResetReason::Cancelled => 2,
-        ResetReason::Acted => 3,
-    }
-}
-
-fn why_from(b: u8) -> Result<ResetReason, TraceCodecError> {
-    match b {
-        0 => Ok(ResetReason::BackInside),
-        1 => Ok(ResetReason::SideFlip),
-        2 => Ok(ResetReason::Cancelled),
-        3 => Ok(ResetReason::Acted),
-        _ => Err(err(format!("bad reset-reason byte {b}"))),
-    }
+/// The variant whose wire byte is `b`.
+fn variant<T: Copy>(all: &[T], b: u8, what: &str) -> Result<T, TraceCodecError> {
+    (all.get(usize::from(b)).copied()).ok_or_else(|| err(format!("bad {what} byte {b}")))
 }
 
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
@@ -318,8 +285,8 @@ pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent)
             }),
             _,
         ) => {
-            buf.push(signal_byte(*signal));
-            buf.push(dir_byte(*dir));
+            buf.push(byte(&SIGNALS, signal));
+            buf.push(byte(&DIRS, dir));
             put_varint(buf, u64::from(*occupancy));
             put_f64(buf, *value);
         }
@@ -332,7 +299,7 @@ pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent)
             }),
             _,
         ) => {
-            buf.push(signal_byte(*signal));
+            buf.push(byte(&SIGNALS, signal));
             put_varint(buf, u64::from(*occupancy));
             put_f64(buf, *value);
         }
@@ -345,17 +312,17 @@ pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent)
             }),
             _,
         ) => {
-            buf.push(signal_byte(*signal));
-            buf.push(dir_byte(*dir));
+            buf.push(byte(&SIGNALS, signal));
+            buf.push(byte(&DIRS, dir));
             put_f64(buf, *remaining);
         }
         (Some(CtrlEvent::RelayFire { signal, dir, .. }), _) => {
-            buf.push(signal_byte(*signal));
-            buf.push(dir_byte(*dir));
+            buf.push(byte(&SIGNALS, signal));
+            buf.push(byte(&DIRS, dir));
         }
         (Some(CtrlEvent::RelayReset { signal, why, .. }), _) => {
-            buf.push(signal_byte(*signal));
-            buf.push(why_byte(*why));
+            buf.push(byte(&SIGNALS, signal));
+            buf.push(byte(&REASONS, why));
         }
         (
             None,
@@ -398,7 +365,7 @@ pub(crate) fn decode_event(
     prev_t: &mut u64,
 ) -> Result<TraceEvent, TraceCodecError> {
     let tag = r.u8()?;
-    let domain = domain_from_index(r.u8()?)?;
+    let domain = variant(&DomainId::ALL, r.u8()?, "domain")?;
     let dt = unzigzag(r.varint()?);
     let t = prev_t.wrapping_add(dt as u64);
     *prev_t = t;
@@ -406,8 +373,8 @@ pub(crate) fn decode_event(
     let ctrl = |event: CtrlEvent| TraceEvent::Controller { domain, event };
     Ok(match tag {
         TAG_WINDOW_ENTER => {
-            let signal = signal_from(r.u8()?)?;
-            let dir = dir_from(r.u8()?)?;
+            let signal = variant(&SIGNALS, r.u8()?, "signal")?;
+            let dir = variant(&DIRS, r.u8()?, "direction")?;
             let occupancy = u32::try_from(r.varint()?).map_err(|_| err("occupancy > u32"))?;
             let value = r.f64bits()?;
             ctrl(CtrlEvent::WindowEnter {
@@ -419,7 +386,7 @@ pub(crate) fn decode_event(
             })
         }
         TAG_WINDOW_EXIT => {
-            let signal = signal_from(r.u8()?)?;
+            let signal = variant(&SIGNALS, r.u8()?, "signal")?;
             let occupancy = u32::try_from(r.varint()?).map_err(|_| err("occupancy > u32"))?;
             let value = r.f64bits()?;
             ctrl(CtrlEvent::WindowExit {
@@ -430,8 +397,8 @@ pub(crate) fn decode_event(
             })
         }
         TAG_RELAY_ARM => {
-            let signal = signal_from(r.u8()?)?;
-            let dir = dir_from(r.u8()?)?;
+            let signal = variant(&SIGNALS, r.u8()?, "signal")?;
+            let dir = variant(&DIRS, r.u8()?, "direction")?;
             let remaining = r.f64bits()?;
             ctrl(CtrlEvent::RelayArm {
                 at,
@@ -441,13 +408,13 @@ pub(crate) fn decode_event(
             })
         }
         TAG_RELAY_FIRE => {
-            let signal = signal_from(r.u8()?)?;
-            let dir = dir_from(r.u8()?)?;
+            let signal = variant(&SIGNALS, r.u8()?, "signal")?;
+            let dir = variant(&DIRS, r.u8()?, "direction")?;
             ctrl(CtrlEvent::RelayFire { at, signal, dir })
         }
         TAG_RELAY_RESET => {
-            let signal = signal_from(r.u8()?)?;
-            let why = why_from(r.u8()?)?;
+            let signal = variant(&SIGNALS, r.u8()?, "signal")?;
+            let why = variant(&REASONS, r.u8()?, "reset-reason")?;
             ctrl(CtrlEvent::RelayReset { at, signal, why })
         }
         TAG_FREQ_STEP => {

@@ -26,6 +26,9 @@
 //!   `--trace-out` JSONL format, and [`parse_jsonl`] inverts it exactly
 //!   (shortest-round-trip `f64` text both ways), so `.mcdt` ⇄ JSONL
 //!   conversion is proven by byte comparison, not by eyeballing.
+//! * **The workspace's one JSON reader.** [`json::parse`] reads trace
+//!   lines, replay specs, checkpoint records and mcd-serve `/run` bodies;
+//!   [`json::json_escape`] is the escape every JSON writer shares.
 //!
 //! [`TraceSink::record_anchor`]: mcd_sim::TraceSink::record_anchor
 
@@ -36,6 +39,7 @@ pub use mcd_sim::TraceEvent;
 mod codec;
 mod episodes;
 mod frame;
+pub mod json;
 mod jsonl;
 mod read;
 mod sink;
@@ -43,7 +47,7 @@ mod sink;
 pub use codec::wire_identical;
 pub use episodes::{catalog_episodes, Episode};
 pub use frame::{decode_frame, encode_event_frame, encode_meta_frame, StreamFrame};
-pub use jsonl::{json_escape, parse_jsonl, render_jsonl};
+pub use jsonl::{parse_jsonl, render_jsonl};
 pub use read::{read_anchor_at, read_index, read_mcdt, read_segment, McdtFile};
 pub use sink::{write_mcdt, BinarySink};
 
