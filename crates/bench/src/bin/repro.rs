@@ -525,8 +525,8 @@ fn trace_convert_cmd(args: &[String]) -> ExitCode {
 }
 
 /// `repro trace replay FILE.mcdt --episode K`: restores the nearest
-/// anchor snapshot and re-simulates just the segment around catalogued
-/// episode `K`, verifying the replayed events against the original
+/// anchor snapshot and re-simulates from there up to catalogued episode
+/// `K`'s close, verifying the replayed events against the original
 /// recording byte for byte. Exits nonzero on divergence.
 fn trace_replay_cmd(args: &[String]) -> ExitCode {
     let Some(file) = args.first() else {

@@ -1,16 +1,20 @@
-//! Time-travel replay: re-simulating the segment around one catalogued
-//! episode from the nearest snapshot anchor.
+//! Time-travel replay: re-simulating one catalogued episode from the
+//! nearest snapshot anchor.
 //!
 //! A `.mcdt` recording made with sharding enabled carries the machine
 //! snapshot at every shard boundary. `repro trace replay FILE --episode K`
 //! restores the last anchor at or before the episode's onset, rebuilds
-//! the machine from the run's recorded replay spec, and advances it to
-//! the first anchor past the episode's close (or to the end of the run)
-//! with full tracing *and* telemetry on — then proves the replayed event
-//! stream is bit-identical, in `.mcdt` wire form, to the same slice of
-//! the original recording. The shard-equivalence invariant is what
-//! makes the skipped intermediate snapshot round-trips immaterial: the
-//! stream does not depend on where the run paused.
+//! the machine from the run's recorded replay spec, and re-simulates the
+//! segment `[anchor, close]`: a lead-in from the anchor to the onset,
+//! then the episode itself up to and including the event that closed
+//! it (an episode still open when the run ended replays to the end of
+//! the run). It then proves the replayed event stream is bit-identical,
+//! in `.mcdt` wire form, to the same slice of the original recording.
+//! The simulation pauses every few retired instructions to see whether
+//! the close has been reached; the shard-equivalence invariant is what
+//! makes those pauses, like the skipped intermediate snapshot
+//! round-trips, immaterial: the stream does not depend on where the run
+//! paused.
 //!
 //! Only the index, the restored anchor and the segment's own blocks are
 //! read ([`read_segment`]), so a replay costs O(index + segment) in the
@@ -18,12 +22,17 @@
 
 use mcd_sim::snapshot::config_hash;
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
-use mcd_sim::{SimConfig, TraceEvent};
+use mcd_sim::{NullSink, SimConfig, TraceEvent, VecSink};
 use mcd_trace::json;
 use mcd_trace::{read_anchor_at, read_index, read_segment, wire_identical, Episode};
 
 use crate::error::RunError;
-use crate::runner::{build_machine, ControllerActivity, RecorderSink, RunConfig, Scheme};
+use crate::runner::{build_machine, ControllerActivity, RunConfig, Scheme};
+
+/// Retired instructions the replay simulates between checks for the
+/// episode's close: small enough that it overshoots the close by a few
+/// hundred events at most, large enough that pausing costs nothing.
+const STEP: u64 = 64;
 
 /// Serializes everything needed to rebuild a registry run from scratch
 /// as one flat JSON object (parsed back by [`parse_replay_spec`]).
@@ -100,20 +109,24 @@ pub struct ReplayOutcome {
     pub run_ordinal: usize,
     /// The catalog entry.
     pub episode: Episode,
-    /// First replayed event's index in the run's stream.
+    /// First replayed event's index in the run's stream: the restored
+    /// anchor's position (0 for a cold start).
     pub start_event_index: u64,
-    /// One past the last replayed event's index.
+    /// One past the last replayed event's index: one past the close, or
+    /// the run's event count for an episode the run's end closed.
     pub end_event_index: u64,
+    /// Events the run recorded in all.
+    pub run_event_count: u64,
     /// Retired count of the restored anchor (`None` = cold start from
     /// the beginning of the run).
     pub anchor_retired: Option<u64>,
-    /// The events the replay produced.
+    /// The events the replay produced, `[start, end)` of the run.
     pub replayed: Vec<TraceEvent>,
     /// Whether the replayed stream is byte-identical to the original
     /// slice — the replay contract.
     pub byte_identical: bool,
-    /// Reaction-time samples the segment's telemetry recorded, summed
-    /// over back-end domains.
+    /// Reaction-time samples the replayed events hold, summed over
+    /// back-end domains.
     pub reaction_count: u64,
     /// Mean reaction time over those samples, nanoseconds.
     pub reaction_mean_ns: Option<f64>,
@@ -147,7 +160,7 @@ impl ReplayOutcome {
              onset    event {onset_i} at {onset} ps\n\
              close    event {close_i} at {close} ps\n\
              reaction {reaction}  (relay resets during episode: {resets})\n\
-             segment  events [{s}, {e}) replayed from {anchor}\n\
+             segment  events [{s}, {e}) of {total}: lead-in {lead} + episode {span}, replayed from {anchor}\n\
              verify   {n} events replayed, {verdict}\n\
              telemetry  {rc} reaction(s) in segment, mean {mean}\n",
             k = self.global_ordinal,
@@ -160,6 +173,9 @@ impl ReplayOutcome {
             resets = ep.relay_resets,
             s = self.start_event_index,
             e = self.end_event_index,
+            total = self.run_event_count,
+            lead = ep.onset_event_index.saturating_sub(self.start_event_index),
+            span = self.end_event_index.saturating_sub(ep.onset_event_index),
             n = self.replayed.len(),
             rc = self.reaction_count,
         )
@@ -187,20 +203,29 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
     })?;
     let (benchmark, scheme, cfg) = parse_replay_spec(spec)?;
 
-    // The segment: last anchor at or before the onset → first anchor
-    // past the close (exclusive), else the end of the run.
+    // The segment: last anchor at or before the onset → the close,
+    // inclusive. A run-end close sits at `event_count`, so that episode
+    // replays to the end of the run. `decode_index` guarantees
+    // `anchor ≤ onset ≤ close ≤ event_count`, so `start ≤ end`.
     let anchors = &run_idx.anchors;
     let start_anchor = anchors
         .iter()
         .rposition(|a| a.event_index <= episode.onset_event_index);
+    let start_idx = start_anchor.map_or(0, |a| anchors[a].event_index);
+    let end_idx = episode
+        .close_event_index
+        .saturating_add(1)
+        .min(run_idx.event_count);
+    let want = usize::try_from(end_idx - start_idx)
+        .map_err(|_| RunError::Config(format!("segment of episode {k} overflows usize")))?;
+    // The recorded side is read up to the first anchor past the close
+    // (else the end of the run): decoding it first also CRC-checks every
+    // block the verdict depends on before any simulation is spent.
     let end_anchor = anchors
         .iter()
         .position(|a| a.event_index > episode.close_event_index);
-    let start_idx = start_anchor.map_or(0, |a| anchors[a].event_index);
-    let end_idx = end_anchor.map_or(run_idx.event_count, |a| anchors[a].event_index);
-    // Decoding the recorded segment first also CRC-checks every block the
-    // verdict depends on before any simulation is spent.
-    let original = read_segment(bytes, &index, ri, start_anchor, end_anchor).map_err(codec)?;
+    let mut original = read_segment(bytes, &index, ri, start_anchor, end_anchor).map_err(codec)?;
+    original.truncate(want);
 
     let mut machine = build_machine(&benchmark, scheme, &cfg)?;
     let anchor_retired = match start_anchor.map(|a| anchors[a]) {
@@ -214,30 +239,26 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
         _ => None,
     };
 
-    let telemetry = SimTelemetry::new();
-    let mut sink = TelemetrySink::new(&telemetry, RecorderSink::new());
-    match end_anchor.map(|a| anchors[a]) {
-        Some(aref) => {
-            // Advance to exactly the retired count the original run
-            // snapshotted at; shard equivalence guarantees the pause
-            // lands on the same inter-event point.
-            if machine.try_advance_traced(aref.retired, &mut sink)? {
-                return Err(RunError::Config(format!(
-                    "replay drained before reaching the end anchor at {} retired",
-                    aref.retired
-                )));
-            }
-        }
-        None => {
-            // To the end of the run, including the final histogram flush.
-            while !machine.try_advance_traced(u64::MAX, &mut sink)? {}
+    // Advance in small retired steps until the close has been emitted;
+    // a machine that drains first settles its end-of-run flush.
+    let mut sink = VecSink::new();
+    while sink.events().len() < want {
+        if machine.try_advance_traced(machine.retired().saturating_add(STEP), &mut sink)? {
             machine.finish_traced(&mut sink);
+            break;
         }
     }
-
-    let (replayed, _anchors) = sink.into_inner().into_parts();
+    let mut replayed = sink.into_events();
+    replayed.truncate(want);
+    // A short replayed stream fails the length check: a verdict.
     let byte_identical = wire_identical(&replayed, &original);
 
+    // Telemetry describes exactly the verified span.
+    let telemetry = SimTelemetry::new();
+    let mut fold = TelemetrySink::new(&telemetry, NullSink);
+    for ev in &replayed {
+        fold.observe(ev);
+    }
     let (mut reaction_count, mut reaction_sum_ps) = (0u64, 0u64);
     for h in &telemetry.reaction_ps {
         let snap = h.snapshot();
@@ -254,6 +275,7 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
         episode,
         start_event_index: start_idx,
         end_event_index: end_idx,
+        run_event_count: run_idx.event_count,
         anchor_retired,
         replayed,
         byte_identical,

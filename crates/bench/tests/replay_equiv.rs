@@ -4,11 +4,12 @@
 //! covering cold starts (onset before the first anchor), warm anchor
 //! restores, and end-of-run segments — plus the typed refusals for
 //! out-of-range ordinals and spec-less recordings, and the checks that a
-//! replay reads only its own segment and verifies it bit for bit.
+//! replay reads only its own segment, stops at the episode's close and
+//! verifies it bit for bit.
 
 use mcd_bench::replay::replay_episode;
 use mcd_bench::runner::{RunConfig, RunSet, Scheme};
-use mcd_sim::TraceEvent;
+use mcd_sim::{CtrlEvent, TraceEvent};
 use mcd_trace::{read_index, read_mcdt, write_mcdt, Episode, RunRecording, TraceIndex};
 
 /// Records one sharded, traced sweep and returns its `.mcdt` bytes.
@@ -37,6 +38,17 @@ fn every_catalogued_episode_replays_byte_identically() {
             outcome.run_label, outcome.start_event_index, outcome.end_event_index,
         );
         assert!(!outcome.replayed.is_empty(), "episode {k} replayed nothing");
+        // The segment is `[anchor, close]`; a run-end close replays to
+        // the end of the run.
+        let (ri, ei) = index.locate_episode(k).expect("in range");
+        let run = &index.runs[ri];
+        let close = run.episodes[ei].close_event_index;
+        assert_eq!(outcome.end_event_index, (close + 1).min(run.event_count));
+        assert_eq!(
+            outcome.replayed.len() as u64,
+            outcome.end_event_index - outcome.start_event_index,
+            "episode {k}"
+        );
         match outcome.anchor_retired {
             None => cold += 1,
             Some(_) => warm += 1,
@@ -100,9 +112,13 @@ fn recordings_without_a_replay_spec_are_refused() {
     assert!(e.to_string().contains("no replay spec"), "{e}");
 }
 
-/// The first episode passing `pick` that restores from an anchor other
-/// than its run's first: its global ordinal, run, and the episode.
-fn warm_episode(index: &TraceIndex, pick: impl Fn(&Episode) -> bool) -> (usize, usize, Episode) {
+/// The first episode passing `pick` (given its run and the episode) that
+/// restores from an anchor other than its run's first: its global
+/// ordinal, run, and the episode.
+fn warm_episode(
+    index: &TraceIndex,
+    pick: impl Fn(usize, &Episode) -> bool,
+) -> (usize, usize, Episode) {
     let mut k = 0;
     for (ri, run) in index.runs.iter().enumerate() {
         for ep in &run.episodes {
@@ -110,7 +126,7 @@ fn warm_episode(index: &TraceIndex, pick: impl Fn(&Episode) -> bool) -> (usize, 
                 .anchors
                 .iter()
                 .rposition(|a| a.event_index <= ep.onset_event_index);
-            if matches!(start, Some(1..)) && pick(ep) {
+            if matches!(start, Some(1..)) && pick(ri, ep) {
                 return (k, ri, *ep);
             }
             k += 1;
@@ -123,7 +139,7 @@ fn warm_episode(index: &TraceIndex, pick: impl Fn(&Episode) -> bool) -> (usize, 
 fn replay_reads_only_its_segment() {
     let bytes = record("gzip", Scheme::Adaptive, 16_000, 4_000);
     let index = read_index(&bytes).expect("index decodes");
-    let (k, ri, ep) = warm_episode(&index, |_| true);
+    let (k, ri, ep) = warm_episode(&index, |_, _| true);
     let run = &index.runs[ri];
     let a = run
         .anchors
@@ -150,7 +166,7 @@ fn replay_reads_only_its_segment() {
 fn a_one_ulp_difference_replays_as_diverged() {
     let bytes = record("gzip", Scheme::Adaptive, 16_000, 4_000);
     let index = read_index(&bytes).expect("index decodes");
-    let (k, ri, ep) = warm_episode(&index, |ep| ep.reaction_ps.is_some());
+    let (k, ri, ep) = warm_episode(&index, |_, ep| ep.reaction_ps.is_some());
     let mut runs = read_mcdt(&bytes).expect("decodes").runs;
     // Nudge the step that answered the onset: inside the replayed
     // segment, and invisible to the episode catalog.
@@ -169,4 +185,69 @@ fn a_one_ulp_difference_replays_as_diverged() {
     let outcome = replay_episode(&edited, k).expect("a divergence is a verdict, not an error");
     assert!(!outcome.byte_identical, "a one-ulp change went unseen");
     assert!(replay_episode(&bytes, k).expect("replays").byte_identical);
+}
+
+/// Moves the event's first `f64` field up by one ulp; `false` if it has
+/// none.
+fn nudge(ev: &mut TraceEvent) -> bool {
+    let x = match ev {
+        TraceEvent::FreqStep { to_mhz, .. } => to_mhz,
+        TraceEvent::Controller { event, .. } => match event {
+            CtrlEvent::WindowEnter { value, .. } | CtrlEvent::WindowExit { value, .. } => value,
+            CtrlEvent::RelayArm { remaining, .. } => remaining,
+            CtrlEvent::RelayFire { .. } | CtrlEvent::RelayReset { .. } => return false,
+        },
+        TraceEvent::QueueHistogram { .. } => return false,
+    };
+    *x = x.next_up();
+    true
+}
+
+#[test]
+fn a_segment_ending_mid_shard_verifies_only_up_to_the_close() {
+    let bytes = record("gzip", Scheme::Adaptive, 16_000, 4_000);
+    let index = read_index(&bytes).expect("index decodes");
+    let runs = read_mcdt(&bytes).expect("decodes").runs;
+    // A warm episode whose segment ends strictly before the next anchor
+    // (mid-shard), and whose close and the event just past it both
+    // carry an `f64` field.
+    let editable = |ri: usize, i: u64| {
+        runs[ri]
+            .events
+            .get(i as usize)
+            .is_some_and(|ev| nudge(&mut ev.clone()))
+    };
+    let (k, ri, ep) = warm_episode(&index, |ri, ep| {
+        let end = ep.close_event_index + 1;
+        let next_anchor = index.runs[ri]
+            .anchors
+            .iter()
+            .find(|a| a.event_index > ep.close_event_index);
+        next_anchor.is_some_and(|a| end < a.event_index)
+            && editable(ri, ep.close_event_index)
+            && editable(ri, end)
+    });
+    let outcome = replay_episode(&bytes, k).expect("replays");
+    assert!(outcome.byte_identical, "episode {k} diverged");
+    assert_eq!(outcome.end_event_index, ep.close_event_index + 1);
+
+    // One ulp on an event of the recording, written back as a file with
+    // the same index.
+    let edit = |i: u64| {
+        let mut runs = runs.clone();
+        assert!(nudge(&mut runs[ri].events[i as usize]));
+        let edited = write_mcdt(&runs);
+        assert_eq!(read_index(&edited).expect("index decodes"), index);
+        replay_episode(&edited, k).expect("a divergence is a verdict, not an error")
+    };
+    // Just past the close: outside the verified segment.
+    assert!(
+        edit(ep.close_event_index + 1).byte_identical,
+        "an edit past the close reached the verdict"
+    );
+    // The close itself is the segment's last event.
+    assert!(
+        !edit(ep.close_event_index).byte_identical,
+        "an edit of the close went unseen"
+    );
 }

@@ -86,6 +86,46 @@ fn decode_episode(r: &mut Reader<'_>) -> Result<Episode, TraceCodecError> {
     })
 }
 
+/// The ordering a replay relies on: anchors sit at non-decreasing event
+/// positions within the run and at strictly increasing retired counts,
+/// and every episode has `onset ≤ close ≤ event_count`.
+fn check_run_index(ri: usize, run: &RunIndex) -> Result<(), TraceCodecError> {
+    for (k, pair) in run.anchors.windows(2).enumerate() {
+        let (p, a) = (&pair[0], &pair[1]);
+        if a.event_index < p.event_index || a.retired <= p.retired {
+            return Err(err(format!(
+                "run {ri}: anchor {} (event {}, retired {}) does not follow \
+                 anchor {k} (event {}, retired {})",
+                k + 1,
+                a.event_index,
+                a.retired,
+                p.event_index,
+                p.retired
+            )));
+        }
+    }
+    // In order, so only the last anchor can lie past the run.
+    if let Some(a) = run
+        .anchors
+        .last()
+        .filter(|a| a.event_index > run.event_count)
+    {
+        return Err(err(format!(
+            "run {ri}: anchor at event {} past the run's {} events",
+            a.event_index, run.event_count
+        )));
+    }
+    for (k, e) in run.episodes.iter().enumerate() {
+        if e.close_event_index < e.onset_event_index || e.close_event_index > run.event_count {
+            return Err(err(format!(
+                "run {ri}: episode {k} onset {} / close {} out of order in a run of {} events",
+                e.onset_event_index, e.close_event_index, run.event_count
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn decode_index(payload: &[u8]) -> Result<TraceIndex, TraceCodecError> {
     let mut r = Reader::new(payload);
     let n = r.varint()?;
@@ -110,14 +150,16 @@ fn decode_index(payload: &[u8]) -> Result<TraceIndex, TraceCodecError> {
         for _ in 0..ne {
             episodes.push(decode_episode(&mut r)?);
         }
-        runs.push(RunIndex {
+        let run = RunIndex {
             label,
             spec,
             start_offset,
             event_count,
             anchors,
             episodes,
-        });
+        };
+        check_run_index(runs.len(), &run)?;
+        runs.push(run);
     }
     if !r.is_empty() {
         return Err(err("trailing bytes after index payload"));
@@ -351,4 +393,96 @@ pub fn read_segment(
         )));
     }
     Ok(events)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sink::encode_index;
+
+    fn valid() -> TraceIndex {
+        let anchor = |event_index, retired| AnchorRef {
+            event_index,
+            retired,
+            offset: 6,
+            delta_base: 0,
+        };
+        TraceIndex {
+            runs: vec![RunIndex {
+                label: "gzip|adaptive".into(),
+                spec: None,
+                start_offset: 6,
+                event_count: 100,
+                anchors: vec![
+                    anchor(0, 0),
+                    anchor(40, 10),
+                    anchor(40, 11),
+                    anchor(100, 20),
+                ],
+                episodes: vec![
+                    Episode {
+                        domain: 1,
+                        onset_event_index: 30,
+                        onset_ps: 1_000,
+                        close_event_index: 30,
+                        close_ps: 1_000,
+                        reaction_ps: Some(0),
+                        relay_resets: 0,
+                        block_offset: 6,
+                    },
+                    Episode {
+                        domain: 2,
+                        onset_event_index: 90,
+                        onset_ps: 2_000,
+                        close_event_index: 100,
+                        close_ps: 3_000,
+                        reaction_ps: None,
+                        relay_resets: 2,
+                        block_offset: 6,
+                    },
+                ],
+            }],
+        }
+    }
+
+    fn refused(edit: impl FnOnce(&mut RunIndex), what: &str) {
+        let mut index = valid();
+        edit(&mut index.runs[0]);
+        match decode_index(&encode_index(&index)) {
+            Err(TraceCodecError(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            Ok(_) => panic!("accepted an index with {what}"),
+        }
+    }
+
+    #[test]
+    fn a_well_ordered_index_round_trips() {
+        let index = valid();
+        assert_eq!(decode_index(&encode_index(&index)), Ok(index));
+    }
+
+    #[test]
+    fn an_anchor_past_the_run_is_refused() {
+        refused(|r| r.anchors[3].event_index = 101, "past the run");
+    }
+
+    #[test]
+    fn anchors_out_of_event_order_are_refused() {
+        refused(|r| r.anchors[1].event_index = 41, "does not follow");
+    }
+
+    #[test]
+    fn anchors_with_repeated_or_falling_retired_counts_are_refused() {
+        refused(|r| r.anchors[2].retired = 10, "does not follow");
+        refused(|r| r.anchors[3].retired = 5, "does not follow");
+    }
+
+    #[test]
+    fn an_episode_closing_before_its_onset_is_refused() {
+        refused(|r| r.episodes[0].close_event_index = 29, "out of order");
+    }
+
+    #[test]
+    fn an_episode_closing_past_the_run_is_refused() {
+        refused(|r| r.episodes[1].close_event_index = 101, "out of order");
+    }
 }
