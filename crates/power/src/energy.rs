@@ -131,18 +131,50 @@ pub struct DomainEnergyMeter {
     breakdown: EnergyBreakdown,
     cycles: u64,
     events: u64,
+    /// [`EnergyModel::event_energy_at_ref`] of every event, indexed by
+    /// `event as usize` (the [`ActivityEvent::ALL`] order).
+    event_at_ref: [Energy; ActivityEvent::ALL.len()],
+    /// Bits of the last supply voltage charged at, and its
+    /// [`EnergyModel::voltage_factor`]. A domain charges many events and
+    /// cycles at one voltage, so each charge is one multiply. This pair
+    /// and the utilization pair below are pure functions of their keys and
+    /// are never serialized.
+    factor_volts: u64,
+    factor: f64,
+    /// Bits of the last utilization charged at, and its
+    /// [`EnergyModel::cycle_energy_at_ref`]: idle and steadily busy
+    /// domains repeat one utilization edge after edge.
+    cycle_util: u64,
+    cycle_at_ref: Energy,
 }
 
 impl DomainEnergyMeter {
     /// Creates a zeroed meter for a domain of class `class`.
     pub fn new(class: DomainClass, model: EnergyModel) -> Self {
+        let v_ref = model.reference_voltage();
         DomainEnergyMeter {
             class,
+            event_at_ref: ActivityEvent::ALL.map(|e| model.event_energy_at_ref(e)),
+            factor_volts: v_ref.as_volts().to_bits(),
+            factor: model.voltage_factor(v_ref),
+            cycle_util: 0.0f64.to_bits(),
+            cycle_at_ref: model.cycle_energy_at_ref(class, 0.0),
             model,
             breakdown: EnergyBreakdown::default(),
             cycles: 0,
             events: 0,
         }
+    }
+
+    /// The model's voltage factor at `v`, recomputed only when `v` differs
+    /// from the last voltage charged at.
+    fn factor_at(&mut self, v: Voltage) -> f64 {
+        let bits = v.as_volts().to_bits();
+        if bits != self.factor_volts {
+            self.factor_volts = bits;
+            self.factor = self.model.voltage_factor(v);
+        }
+        self.factor
     }
 
     /// The domain class this meter charges clock energy for.
@@ -158,14 +190,19 @@ impl DomainEnergyMeter {
     /// Charges one local clock cycle at utilization `utilization` and
     /// voltage `v`.
     pub fn charge_cycle(&mut self, utilization: f64, v: Voltage) {
-        let e = self.model.cycle_energy(self.class, utilization, v);
+        let bits = utilization.to_bits();
+        if bits != self.cycle_util {
+            self.cycle_util = bits;
+            self.cycle_at_ref = self.model.cycle_energy_at_ref(self.class, utilization);
+        }
+        let e = self.cycle_at_ref.scaled(self.factor_at(v));
         self.breakdown.add(EnergyCategory::Clock, e);
         self.cycles += 1;
     }
 
     /// Charges one structure access at voltage `v`.
     pub fn charge_event(&mut self, event: ActivityEvent, v: Voltage) {
-        let e = self.model.event_energy(event, v);
+        let e = self.event_at_ref[event as usize].scaled(self.factor_at(v));
         self.breakdown.add(EnergyCategory::of(event), e);
         self.events += 1;
     }
@@ -180,7 +217,9 @@ impl DomainEnergyMeter {
         if n == 0 {
             return;
         }
-        let e = self.model.event_energy(event, v).scaled(n as f64);
+        let e = self.event_at_ref[event as usize]
+            .scaled(self.factor_at(v))
+            .scaled(n as f64);
         self.breakdown.add(EnergyCategory::of(event), e);
         self.events += n;
     }
@@ -304,6 +343,81 @@ mod tests {
         let ratio = lo.total().as_joules() / hi.total().as_joules();
         let expect = (0.65f64 / 1.2).powi(2);
         assert!((ratio - expect).abs() < 1e-9);
+    }
+
+    /// Charges every event at `n ∈ {1, 7}` and a cycle between voltage
+    /// switches, into `m` and into `reference` through the model's per-call
+    /// formulas.
+    fn charge_all(m: &mut DomainEnergyMeter, reference: &mut EnergyBreakdown, volts: &[f64]) {
+        let model = m.model().clone();
+        for (k, &volts) in volts.iter().enumerate() {
+            let v = Voltage::from_volts(volts);
+            for &e in &ActivityEvent::ALL {
+                m.charge_event(e, v);
+                reference.add(EnergyCategory::of(e), model.event_energy(e, v));
+                m.charge_events(e, 7, v);
+                reference.add(EnergyCategory::of(e), model.event_energy(e, v).scaled(7.0));
+            }
+            // Each utilization twice in a row, so its cache both hits and misses.
+            let util = (k / 2 % 5) as f64 / 4.0;
+            m.charge_cycle(util, v);
+            reference.add(
+                EnergyCategory::Clock,
+                model.cycle_energy(m.class(), util, v),
+            );
+        }
+    }
+
+    fn assert_bits_eq(a: &EnergyBreakdown, b: &EnergyBreakdown) {
+        for (name, x, y) in [
+            ("clock", a.clock, b.clock),
+            ("compute", a.compute, b.compute),
+            ("memory", a.memory, b.memory),
+            ("pipeline", a.pipeline, b.pipeline),
+            ("leakage", a.leakage, b.leakage),
+        ] {
+            assert_eq!(x.as_joules().to_bits(), y.as_joules().to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn event_table_follows_the_all_order() {
+        for (i, &e) in ActivityEvent::ALL.iter().enumerate() {
+            assert_eq!(e as usize, i, "{e:?}");
+        }
+    }
+
+    /// The meter's cached voltage factor and event table charge exactly
+    /// what the model's per-call formulas give, through voltage changes
+    /// (cache invalidation) and across a snapshot into a fresh meter whose
+    /// cache starts cold at the reference voltage.
+    #[test]
+    fn cached_charges_are_bit_identical_to_the_model() {
+        let volts = [0.9, 0.9, 1.2, 0.65, 0.9, 1.0375, 0.65, 0.65, 1.2, 0.9];
+        let mut m = meter();
+        let mut reference = EnergyBreakdown::default();
+        charge_all(&mut m, &mut reference, &volts);
+        assert_bits_eq(m.breakdown(), &reference);
+        assert_eq!(m.events(), 18 * 8 * volts.len() as u64);
+
+        let mut w = mcd_snap::SnapWriter::new();
+        m.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = meter();
+        restored
+            .load_state(&mut mcd_snap::SnapReader::new(&bytes))
+            .expect("round trip");
+        assert_bits_eq(restored.breakdown(), &reference);
+        // Continue at the voltage the saved meter last charged at, then
+        // keep switching.
+        let rest = [0.9, 0.65, 1.2, 0.8, 0.9];
+        let mut reference_b = reference;
+        charge_all(&mut m, &mut reference, &rest);
+        charge_all(&mut restored, &mut reference_b, &rest);
+        assert_bits_eq(m.breakdown(), &reference);
+        assert_bits_eq(restored.breakdown(), &reference_b);
+        assert_eq!(restored.cycles(), m.cycles());
+        assert_eq!(restored.events(), m.events());
     }
 
     #[test]

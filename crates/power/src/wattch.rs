@@ -171,9 +171,21 @@ impl EnergyModel {
         }
     }
 
+    /// `(v / v_ref)²`: the factor every per-access and per-cycle energy is
+    /// scaled by at supply voltage `v`.
+    pub fn voltage_factor(&self, v: Voltage) -> f64 {
+        v.squared_ratio(self.v_ref)
+    }
+
+    /// Energy of one `event` at the reference voltage.
+    pub fn event_energy_at_ref(&self, event: ActivityEvent) -> Energy {
+        Energy::from_pj(self.event_pj_at_ref(event))
+    }
+
     /// Energy of one `event` at supply voltage `v`.
     pub fn event_energy(&self, event: ActivityEvent, v: Voltage) -> Energy {
-        Energy::from_pj(self.event_pj_at_ref(event)).scaled(v.squared_ratio(self.v_ref))
+        self.event_energy_at_ref(event)
+            .scaled(self.voltage_factor(v))
     }
 
     /// Clock-distribution energy per cycle for one domain at the reference
@@ -199,12 +211,22 @@ impl EnergyModel {
     ///
     /// Panics (debug) if `utilization` is outside `[0, 1]`.
     pub fn cycle_energy(&self, class: DomainClass, utilization: f64, v: Voltage) -> Energy {
+        self.cycle_energy_at_ref(class, utilization)
+            .scaled(self.voltage_factor(v))
+    }
+
+    /// [`EnergyModel::cycle_energy`] at the reference voltage.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `utilization` is outside `[0, 1]`.
+    pub fn cycle_energy_at_ref(&self, class: DomainClass, utilization: f64) -> Energy {
         debug_assert!(
             (0.0..=1.0).contains(&utilization),
             "utilization {utilization} out of range"
         );
         let activity = self.gated_fraction + (1.0 - self.gated_fraction) * utilization;
-        Energy::from_pj(self.clock_pj_at_ref(class) * activity).scaled(v.squared_ratio(self.v_ref))
+        Energy::from_pj(self.clock_pj_at_ref(class) * activity)
     }
 }
 

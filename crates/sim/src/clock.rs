@@ -31,6 +31,15 @@ pub struct DomainClock {
     /// different formula), and is dropped whenever the regulator could be
     /// retargeted ([`DomainClock::regulator_mut`]).
     steady: Option<Steady>,
+    /// The regulator's frequency at the last ticked edge, kept only while
+    /// a transition was in flight there. The engine reads frequency,
+    /// voltage and cycle times at the edge it just ticked several times
+    /// per edge, and mid-transition each read would re-interpolate. Same
+    /// lifetime rules as `steady`.
+    moving: Option<Moving>,
+    /// The regulator's one-step slew time, a function of the curve and
+    /// style alone.
+    single_step: TimePs,
 }
 
 /// Cached steady-state (non-transitioning) clock properties.
@@ -40,6 +49,14 @@ struct Steady {
     voltage: Voltage,
     period_ps: f64,
     one_cycle: TimePs,
+}
+
+/// Mid-transition clock properties at one edge.
+#[derive(Debug, Clone, Copy)]
+struct Moving {
+    at: TimePs,
+    freq: Frequency,
+    period_ps: f64,
 }
 
 impl DomainClock {
@@ -55,13 +72,15 @@ impl DomainClock {
         let regulator = Regulator::new(curve, style, initial);
         let period = regulator.frequency_at(TimePs::ZERO).period_ps();
         DomainClock {
-            regulator,
             next_edge: TimePs::ZERO.advance_f64(period),
             frac_carry: 0.0,
             sigma_ps,
             jitter: (sigma_ps != 0.0).then(|| JitterCursor::new(seed)),
             edges: 0,
             steady: None,
+            moving: None,
+            single_step: regulator.single_step_time(),
+            regulator,
         }
     }
 
@@ -96,6 +115,12 @@ impl DomainClock {
         }
     }
 
+    /// The mid-transition memo, if [`DomainClock::tick`] filled it at
+    /// `now`.
+    fn moving_at(&self, now: TimePs) -> Option<Moving> {
+        self.moving.filter(|m| m.at == now)
+    }
+
     /// The next clock edge.
     pub fn next_edge(&self) -> TimePs {
         self.next_edge
@@ -112,24 +137,39 @@ impl DomainClock {
     }
 
     /// Mutable access to the regulator (for DVFS retargeting). Drops the
-    /// steady-state cache, since the caller may start a transition.
+    /// steady-state and mid-transition caches, since the caller may start
+    /// or re-aim a transition.
     pub fn regulator_mut(&mut self) -> &mut Regulator {
         self.steady = None;
+        self.moving = None;
         &mut self.regulator
+    }
+
+    /// Time to slew one curve step ([`Regulator::single_step_time`]).
+    pub fn single_step_time(&self) -> TimePs {
+        self.single_step
     }
 
     /// Effective frequency at `now`.
     pub fn frequency_at(&self, now: TimePs) -> Frequency {
-        match self.steady_ro(now) {
-            Some(s) => s.freq,
+        if let Some(s) = self.steady_ro(now) {
+            return s.freq;
+        }
+        match self.moving_at(now) {
+            Some(m) => m.freq,
             None => self.regulator.frequency_at(now),
         }
     }
 
     /// Supply voltage at `now`.
     pub fn voltage_at(&self, now: TimePs) -> Voltage {
-        match self.steady_ro(now) {
-            Some(s) => s.voltage,
+        if let Some(s) = self.steady_ro(now) {
+            return s.voltage;
+        }
+        match self.moving_at(now) {
+            // The regulator's own formula, on the frequency it would
+            // interpolate.
+            Some(m) => self.regulator.curve().voltage_for_frequency(m.freq),
             None => self.regulator.voltage_at(now),
         }
     }
@@ -147,7 +187,16 @@ impl DomainClock {
         self.edges += 1;
         let nominal = match self.steady_at(edge) {
             Some(s) => s.period_ps,
-            None => self.regulator.frequency_at(edge).period_ps(),
+            None => {
+                let freq = self.regulator.frequency_at(edge);
+                let period_ps = freq.period_ps();
+                self.moving = Some(Moving {
+                    at: edge,
+                    freq,
+                    period_ps,
+                });
+                period_ps
+            }
         };
         let period = nominal + self.frac_carry;
         let whole = period.floor();
@@ -168,15 +217,19 @@ impl DomainClock {
             Some(s) if cycles == 1 => s.one_cycle,
             Some(s) => TimePs::ZERO.advance_f64(s.period_ps * cycles as f64),
             None => {
-                let period = self.regulator.frequency_at(now).period_ps();
+                let period = match self.moving_at(now) {
+                    Some(m) => m.period_ps,
+                    None => self.regulator.frequency_at(now).period_ps(),
+                };
                 TimePs::ZERO.advance_f64(period * cycles as f64)
             }
         }
     }
 
     /// Serializes the clock's evolving state. The VF curve, DVFS style, σ
-    /// and jitter seed come from construction; the steady-state cache is a
-    /// pure function of the regulator and is rebuilt lazily after restore.
+    /// and jitter seed come from construction; the steady-state and
+    /// mid-transition caches are pure functions of the regulator and are
+    /// rebuilt lazily after restore.
     pub fn save_state(&self, w: &mut mcd_snap::SnapWriter) {
         self.regulator.save_state(w);
         w.put_u64(self.next_edge.as_ps());
@@ -213,6 +266,7 @@ impl DomainClock {
             cursor.seek(chunk_idx, pos)?;
         }
         self.steady = None;
+        self.moving = None;
         Ok(())
     }
 
@@ -308,6 +362,70 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.tick(), b.tick());
         }
+    }
+
+    /// Ticks `c` through `n` edges, checking at each that the clock's
+    /// accessors return exactly what the regulator computes there; returns
+    /// how many of those edges were mid-transition.
+    fn tick_and_check(c: &mut DomainClock, n: usize) -> usize {
+        let mut moving = 0;
+        for _ in 0..n {
+            let e = c.tick();
+            let reg = c.regulator();
+            moving += usize::from(reg.is_transitioning(e));
+            let f = reg.frequency_at(e);
+            assert_eq!(c.frequency_at(e), f, "frequency at {e}");
+            assert_eq!(
+                c.voltage_at(e).as_volts().to_bits(),
+                reg.voltage_at(e).as_volts().to_bits(),
+                "voltage at {e}"
+            );
+            for cycles in [1u32, 12] {
+                let want = TimePs::ZERO.advance_f64(f.period_ps() * cycles as f64);
+                assert_eq!(c.cycles_to_time(cycles, e), want, "{cycles} cycles at {e}");
+            }
+            // Off the ticked edge the clock falls back to the regulator.
+            let off = e + TimePs::new(1);
+            assert_eq!(c.frequency_at(off), reg.frequency_at(off));
+        }
+        moving
+    }
+
+    /// The mid-transition memo is invisible: through a transition, a
+    /// second retarget in flight, and a snapshot into a fresh clock.
+    #[test]
+    fn mid_transition_reads_match_the_regulator() {
+        let mut c = clock(10.0 / 3.0);
+        assert_eq!(c.single_step_time(), c.regulator().single_step_time());
+        assert_eq!(tick_and_check(&mut c, 5), 0);
+        let now = c.next_edge();
+        c.regulator_mut().request(OpIndex(0), now);
+        assert_eq!(tick_and_check(&mut c, 2_000), 2_000);
+
+        let now = c.next_edge();
+        let max = c.regulator().curve().max_index();
+        c.regulator_mut().request(OpIndex(max.0 - 40), now);
+        assert_eq!(tick_and_check(&mut c, 2_000), 2_000);
+
+        let mut w = mcd_snap::SnapWriter::new();
+        c.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = clock(10.0 / 3.0);
+        restored
+            .load_state(&mut mcd_snap::SnapReader::new(&bytes))
+            .expect("round trip");
+        assert_eq!(restored.single_step_time(), c.single_step_time());
+        // Both run out the transition and settle, edge for edge.
+        let end = c.regulator().transition_end().expect("in flight");
+        let mut total = 0;
+        while c.next_edge() < end + TimePs::from_us(1) {
+            let expect = c.next_edge();
+            total += tick_and_check(&mut c, 1);
+            assert_eq!(tick_and_check(&mut restored, 1), usize::from(expect < end));
+            assert_eq!(restored.next_edge(), c.next_edge());
+        }
+        assert!(total > 0);
+        assert!(!c.regulator().is_transitioning(c.next_edge()));
     }
 
     #[test]

@@ -107,6 +107,12 @@ impl FuPool {
         self.free_at.iter().filter(|&&t| t > now).count()
     }
 
+    /// The earliest instant after `now` at which a busy unit frees: until
+    /// then [`FuPool::busy_count`] keeps its value at `now`.
+    fn next_free_after(&self, now: TimePs) -> Option<TimePs> {
+        self.free_at.iter().copied().filter(|&t| t > now).min()
+    }
+
     fn total(&self) -> usize {
         self.free_at.len()
     }
@@ -154,6 +160,15 @@ pub struct Machine<T> {
     clocks: [DomainClock; 4],
     meters: [DomainEnergyMeter; 4],
     leakage: LeakageModel,
+    // Per-domain one-entry memo of `leakage.energy`, keyed on the edge's
+    // (period ps, voltage bits): a domain's period and voltage hold for
+    // long stretches of edges. A pure function of its key, so it is never
+    // serialized and survives restore.
+    leak_memo: [Option<((u64, u64), Energy)>; 4],
+    // Per back end: its last functional-unit utilization and the instant
+    // it stops holding (the next unit to free). Reset whenever the domain
+    // claims a unit and on restore; never serialized.
+    fu_util: [(f64, TimePs); 3],
     controllers: [Option<Box<dyn DvfsController>>; 3],
 
     trace: T,
@@ -174,7 +189,7 @@ pub struct Machine<T> {
     store_map: AddrMap,
     // Per-tick scratch reused across calls so the issue loop never
     // allocates; always left empty between ticks.
-    issue_cand: Vec<(usize, IqEntry)>,
+    issue_cand: Vec<(usize, MicroOp)>,
     issued_idx: Vec<usize>,
 
     int_alus: FuPool,
@@ -261,6 +276,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
             clocks,
             meters,
             leakage: LeakageModel::new(curve.max().voltage).with_scale(cfg.leakage_scale),
+            leak_memo: [None; 4],
+            fu_util: [(0.0, TimePs::ZERO); 3],
             controllers: [None, None, None],
             trace,
             trace_done: false,
@@ -559,7 +576,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         }
         let v = self.clocks[di].voltage_at(first);
         let period = self.clocks[di].cycles_to_time(1, first);
-        let leak = self.leakage.energy(DomainId::FrontEnd.class(), period, v);
+        let leak = self.leakage_at(di, period, v);
         loop {
             let e = self.clocks[di].next_edge();
             if e > limit || (!inclusive && e == limit) {
@@ -591,7 +608,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         debug_assert!(!self.clocks[di].regulator().is_transitioning(first));
         let v = self.clocks[di].voltage_at(first);
         let period = self.clocks[di].cycles_to_time(1, first);
-        let leak = self.leakage.energy(d.class(), period, v);
+        let leak = self.leakage_at(di, period, v);
         let target = self.clocks[di].regulator().target();
         let at_min = target.0 == 0;
         let at_max = target == self.cfg.vf_curve.max_index();
@@ -608,8 +625,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
                 self.metrics.fmax_cycles[bi] += 1;
             }
             debug_assert!(self.clocks[di].regulator().stall_until(edge).is_none());
-            let (busy, total) = self.fu_usage(d, edge);
-            self.meters[di].charge_cycle(busy as f64 / total as f64, v);
+            let util = self.fu_utilization(d, edge);
+            self.meters[di].charge_cycle(util, v);
             self.metrics.cycles_skipped += 1;
         }
     }
@@ -790,21 +807,45 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         };
     }
 
-    /// Busy and total functional units of `d` at `now` (cycle-energy
-    /// utilization).
-    fn fu_usage(&self, d: DomainId, now: TimePs) -> (usize, usize) {
-        match d {
-            DomainId::Int => (
-                self.int_alus.busy_count(now) + self.int_muls.busy_count(now),
-                self.int_alus.total() + self.int_muls.total(),
-            ),
-            DomainId::Fp => (
-                self.fp_alus.busy_count(now) + self.fp_muls.busy_count(now),
-                self.fp_alus.total() + self.fp_muls.total(),
-            ),
-            DomainId::Ls => (self.ls_ports.busy_count(now), self.ls_ports.total()),
-            DomainId::FrontEnd => unreachable!("front end handled separately"),
+    /// Leakage energy of domain `di` over one local `period` at `v`,
+    /// through the domain's one-entry memo.
+    fn leakage_at(&mut self, di: usize, period: TimePs, v: mcd_power::Voltage) -> Energy {
+        let key = (period.as_ps(), v.as_volts().to_bits());
+        match self.leak_memo[di] {
+            Some((k, e)) if k == key => e,
+            _ => {
+                let e = self.leakage.energy(DomainId::ALL[di].class(), period, v);
+                self.leak_memo[di] = Some((key, e));
+                e
+            }
         }
+    }
+
+    /// The fraction of `d`'s functional units busy at `now` (cycle-energy
+    /// utilization). Between issues the busy units only free, each at a
+    /// known instant, so the count is redone only once one has.
+    fn fu_utilization(&mut self, d: DomainId, now: TimePs) -> f64 {
+        let bi = d.backend_index();
+        let (util, valid_until) = self.fu_util[bi];
+        if now < valid_until {
+            return util;
+        }
+        let (a, b) = match d {
+            DomainId::Int => (&self.int_alus, Some(&self.int_muls)),
+            DomainId::Fp => (&self.fp_alus, Some(&self.fp_muls)),
+            DomainId::Ls => (&self.ls_ports, None),
+            DomainId::FrontEnd => unreachable!("front end handled separately"),
+        };
+        let pools = std::iter::once(a).chain(b);
+        let busy: usize = pools.clone().map(|p| p.busy_count(now)).sum();
+        let total: usize = pools.clone().map(FuPool::total).sum();
+        let util = busy as f64 / total as f64;
+        let next_free = pools
+            .filter_map(|p| p.next_free_after(now))
+            .min()
+            .unwrap_or(NEVER);
+        self.fu_util[bi] = (util, next_free);
+        util
     }
 
     // ----- readiness ---------------------------------------------------
@@ -835,11 +876,15 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
     /// The exact instant entry `e` becomes issue-ready, if every producer
     /// is already completion-tracked — `None` while any producer is still
     /// unissued. Caches the computed instant on the entry (see
-    /// [`IqEntry::ready_hint`]); an entry is ready at `t` iff this returns
-    /// `Some(r)` with `r <= t`.
+    /// [`IqEntry::ready_hint`]) and, while the answer is `None`, the
+    /// producer that made it so ([`IqEntry::blocked_on`]); an entry is
+    /// ready at `t` iff this returns `Some(r)` with `r <= t`.
     ///
     /// A free function over the borrowed pieces (not `&self`) so the scan
     /// can hold `&mut` entries of one queue while reading the scoreboard.
+    /// Inlined: the issue scan and the sleep evaluation call it for every
+    /// queued entry, and nearly every call ends at one of the two caches.
+    #[inline(always)]
     fn entry_ready_time(
         completed: &SeqScoreboard<Completion>,
         retired: u64,
@@ -851,12 +896,36 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         if e.ready_hint.is_some() {
             return e.ready_hint;
         }
+        // Still waiting on the producer the last walk stopped at: the walk
+        // would stop again. (Once tracked, a producer stays tracked until
+        // it retires, and from then on `src < retired`.)
+        if let Some(src) = e.blocked_on {
+            if src >= retired && completed.get(src).is_none() {
+                return None;
+            }
+        }
+        Self::walk_sources(completed, retired, sync_model, sync_window, consumer, e)
+    }
+
+    /// The source walk behind [`Machine::entry_ready_time`], filling
+    /// whichever of the entry's two caches applies.
+    fn walk_sources(
+        completed: &SeqScoreboard<Completion>,
+        retired: u64,
+        sync_model: crate::config::SyncModel,
+        sync_window: TimePs,
+        consumer: DomainId,
+        e: &mut IqEntry,
+    ) -> Option<TimePs> {
         let mut ready_at = e.visible_at;
         for src in e.op.sources().chain(e.mem_dep) {
             if src < retired {
                 continue; // architecturally committed long ago
             }
-            let c = completed.get(src)?;
+            let Some(c) = completed.get(src) else {
+                e.blocked_on = Some(src);
+                return None;
+            };
             let penalty = match sync_model {
                 // Arbitration checks every cross-domain transfer against
                 // the synchronization window; token-ring FIFOs forward
@@ -881,7 +950,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         // Static power accrues per local period; at lower frequency the
         // periods lengthen, so leakage energy tracks wall-clock time.
         let period = self.clocks[di].cycles_to_time(1, edge);
-        self.meters[di].charge_leakage(self.leakage.energy(d.class(), period, v));
+        let leak = self.leakage_at(di, period, v);
+        self.meters[di].charge_leakage(leak);
 
         // Range-saturation accounting: cycles the domain spends settled
         // at the extremes of the operating range (where the controller
@@ -910,7 +980,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         if !self.iqs[bi].is_empty() {
             // Select ready entries in age order, bounded by issue width.
             // The single scan records each candidate's index *and* a copy
-            // of the entry, so the issue loop below never re-walks the
+            // of its op, so the issue loop below never re-walks the
             // queue (previously an O(width × occupancy) `iter().nth`
             // per candidate). The scratch vectors are reused across
             // ticks to keep this loop allocation-free.
@@ -928,15 +998,14 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
                     let ready =
                         Self::entry_ready_time(completed, retired, sync_model, sync_window, d, e);
                     if ready.is_some_and(|r| r <= edge) {
-                        candidates.push((i, *e));
+                        candidates.push((i, e.op));
                     }
                 }
             }
 
             // Try to claim functional units and compute completion times.
             let mut issued = std::mem::take(&mut self.issued_idx);
-            for &(idx, entry) in &candidates {
-                let op = entry.op;
+            for &(idx, op) in &candidates {
                 let (lat, pipelined) = latency_cycles(op.class);
                 let lat_time = self.clocks[di].cycles_to_time(lat, edge);
                 let one_cycle = self.clocks[di].cycles_to_time(1, edge);
@@ -960,6 +1029,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
                     struct_fail = true;
                     continue; // structural hazard; try younger ops
                 }
+                // The busy count changed: recount at the next use.
+                self.fu_util[bi].1 = TimePs::ZERO;
 
                 // Memory ops get their real completion from the hierarchy.
                 let completion = if op.class.is_mem() {
@@ -990,8 +1061,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         }
 
         // Cycle energy at the fraction of busy units.
-        let (busy, total) = self.fu_usage(d, edge);
-        self.meters[di].charge_cycle(busy as f64 / total as f64, v);
+        let util = self.fu_utilization(d, edge);
+        self.meters[di].charge_cycle(util, v);
 
         // Issuing from this queue frees the space a sleeping front end may
         // be blocked on. Inclusive: the front end's edge at `edge` outranks
@@ -1059,7 +1130,8 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
         self.now = edge;
         let v = self.clocks[di].voltage_at(edge);
         let period = self.clocks[di].cycles_to_time(1, edge);
-        self.meters[di].charge_leakage(self.leakage.energy(DomainId::FrontEnd.class(), period, v));
+        let leak = self.leakage_at(di, period, v);
+        self.meters[di].charge_leakage(leak);
 
         let retired_now = self.retire(edge, v);
 
@@ -1263,6 +1335,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
                 visible_at,
                 mem_dep,
                 ready_hint: None,
+                blocked_on: None,
             });
             self.meters[di].charge_event(ActivityEvent::DecodeRename, v);
             self.meters[di].charge_event(ActivityEvent::Dispatch, v);
@@ -1317,7 +1390,6 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
             }
         }
 
-        let f_max = self.cfg.vf_curve.max().frequency;
         if self.cfg.record_frequency {
             self.metrics.retired_trace.push(self.retired);
         }
@@ -1335,6 +1407,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
                 self.metrics.occupancy[bi].push(occupancy.min(u8::MAX as u32) as u8);
             }
             if self.cfg.record_frequency {
+                let f_max = self.cfg.vf_curve.max().frequency;
                 let rel = self.clocks[di].frequency_at(t).relative_to(f_max);
                 self.metrics.frequency[bi].push(FreqTracePoint {
                     time: t,
@@ -1344,7 +1417,7 @@ impl<T: Iterator<Item = MicroOp>> Machine<T> {
 
             let current = self.clocks[di].regulator().target();
             let in_transition = self.clocks[di].regulator().is_transitioning(t);
-            let single_step_time = self.clocks[di].regulator().single_step_time();
+            let single_step_time = self.clocks[di].single_step_time();
             let mut action = None;
             let mut events = std::mem::take(&mut self.ctrl_events);
             if let Some(ctrl) = self.controllers[bi].as_mut() {
@@ -1743,6 +1816,7 @@ impl<T: Iterator<Item = MicroOp> + crate::snapshot::SnapshotSource> Machine<T> {
         self.issue_cand.clear();
         self.issued_idx.clear();
         self.ctrl_events.clear();
+        self.fu_util = [(0.0, TimePs::ZERO); 3];
         Ok(())
     }
 }
@@ -1936,6 +2010,85 @@ mod tests {
             .sum::<Energy>()
             / with.total_energy();
         assert!((0.005..0.25).contains(&frac), "leakage fraction {frac}");
+    }
+
+    /// `entry_ready_time` for an integer-domain consumer under
+    /// arbitration with a 300 ps window.
+    fn ready_time(
+        completed: &SeqScoreboard<Completion>,
+        retired: u64,
+        e: &mut IqEntry,
+    ) -> Option<TimePs> {
+        Machine::<TraceGenerator>::entry_ready_time(
+            completed,
+            retired,
+            crate::config::SyncModel::Arbitration,
+            TimePs::new(300),
+            DomainId::Int,
+            e,
+        )
+    }
+
+    /// The unissued-producer memo answers "not ready" while that producer
+    /// is untracked, then steps aside: the entry becomes ready at exactly
+    /// the instant the full walk computes, including after the producer
+    /// it remembered has retired.
+    #[test]
+    fn blocked_entry_becomes_ready_exactly_when_the_walk_says() {
+        let mut completed = SeqScoreboard::new(64);
+        let mut retired = 2;
+        let mut e = IqEntry {
+            op: MicroOp::compute(9, OpClass::IntAlu, 0x400, Some(3), Some(5)),
+            visible_at: TimePs::new(1_000),
+            mem_dep: Some(7),
+            ready_hint: None,
+            blocked_on: None,
+        };
+        assert_eq!(ready_time(&completed, retired, &mut e), None);
+        assert_eq!(e.blocked_on, Some(3));
+        // Probed again with nothing issued: still not ready.
+        assert_eq!(ready_time(&completed, retired, &mut e), None);
+
+        let at = |ps| Completion {
+            at: TimePs::new(ps),
+            domain: DomainId::Int,
+        };
+        completed.insert(3, at(2_000));
+        assert_eq!(ready_time(&completed, retired, &mut e), None);
+        assert_eq!(e.blocked_on, Some(5));
+        completed.insert(5, at(1_500));
+        assert_eq!(ready_time(&completed, retired, &mut e), None);
+        assert_eq!(e.blocked_on, Some(7));
+
+        // A memo naming a producer that has since retired falls through
+        // to the walk, which stops at the still-untracked 7.
+        completed.remove(3);
+        retired = 4;
+        e.blocked_on = Some(3);
+        assert_eq!(ready_time(&completed, retired, &mut e), None);
+        assert_eq!(e.blocked_on, Some(7));
+
+        // The store the load waits on issues in the LS domain: its result
+        // pays the cross-domain window.
+        completed.insert(
+            7,
+            Completion {
+                at: TimePs::new(1_900),
+                domain: DomainId::Ls,
+            },
+        );
+        // The full walk: the same entry with both caches cleared.
+        let mut fresh = IqEntry {
+            ready_hint: None,
+            blocked_on: None,
+            ..e
+        };
+        let walked = ready_time(&completed, retired, &mut fresh);
+        assert_eq!(walked, Some(TimePs::new(2_200)));
+        assert_eq!(ready_time(&completed, retired, &mut e), walked);
+        assert_eq!(e.ready_hint, walked);
+        // The memo lives outside the snapshot: the format is unchanged.
+        assert_eq!(crate::snapshot::SNAPSHOT_FORMAT_VERSION, 1);
     }
 
     #[test]

@@ -28,6 +28,12 @@ pub struct IqEntry {
     /// recorded, so the cached value stays exact for the entry's lifetime
     /// — later scans compare one timestamp instead of re-walking sources.
     pub ready_hint: Option<TimePs>,
+    /// The unissued producer the issue scan's last walk stopped at. While
+    /// it is still not completion-tracked the entry cannot be ready, so the
+    /// scan probes that one source instead of re-walking them all (a
+    /// resolved producer never becomes unresolved). A scan-time shortcut,
+    /// not state: `None` at dispatch and after restore, never serialized.
+    pub blocked_on: Option<u64>,
 }
 
 /// A bounded issue/interface queue.
@@ -109,9 +115,20 @@ impl IssueQueue {
     /// range.
     pub fn remove_issued(&mut self, sorted_indices: &[usize]) {
         debug_assert!(sorted_indices.windows(2).all(|w| w[0] < w[1]));
-        for &idx in sorted_indices.iter().rev() {
-            self.entries.remove(idx);
+        debug_assert!(sorted_indices
+            .last()
+            .is_none_or(|&i| i < self.entries.len()));
+        // Each run of survivors between two issued entries slides down
+        // once, over every gap opened so far.
+        for (k, &idx) in sorted_indices.iter().enumerate() {
+            let end = sorted_indices
+                .get(k + 1)
+                .copied()
+                .unwrap_or(self.entries.len());
+            self.entries.copy_within(idx + 1..end, idx - k);
         }
+        self.entries
+            .truncate(self.entries.len() - sorted_indices.len());
     }
 
     /// Serializes the queue's entries and peak (capacity comes from
@@ -159,6 +176,7 @@ impl IqEntry {
             visible_at: TimePs::new(r.take_u64()?),
             mem_dep: r.take_opt_u64()?,
             ready_hint: r.take_opt_u64()?.map(TimePs::new),
+            blocked_on: None,
         })
     }
 }
@@ -174,7 +192,28 @@ mod tests {
             visible_at: TimePs::ZERO,
             mem_dep: None,
             ready_hint: None,
+            blocked_on: None,
         }
+    }
+
+    fn bytes(e: &IqEntry) -> Vec<u8> {
+        let mut w = mcd_snap::SnapWriter::new();
+        e.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// `blocked_on` is a scan shortcut, not state: it never reaches the
+    /// snapshot, and a decoded entry starts without it.
+    #[test]
+    fn blocked_on_is_not_serialized() {
+        let mut e = entry(9);
+        e.op = MicroOp::compute(9, OpClass::IntAlu, 0x400, Some(3), Some(5));
+        let plain = bytes(&e);
+        e.blocked_on = Some(5);
+        assert_eq!(bytes(&e), plain);
+        let back = IqEntry::load_state(&mut mcd_snap::SnapReader::new(&plain)).expect("decode");
+        assert_eq!(back.blocked_on, None);
+        assert_eq!(back.op, e.op);
     }
 
     #[test]
@@ -206,6 +245,20 @@ mod tests {
         let seqs: Vec<u64> = q.iter().map(|e| e.op.seq).collect();
         assert_eq!(seqs, vec![0, 2, 4]);
         assert_eq!(q.peak(), 5, "peak survives removals");
+
+        for (issued, left) in [
+            (&[0, 2, 5][..], &[1, 3, 4, 6, 7][..]),
+            (&[0, 1, 2, 3, 4, 5, 6, 7][..], &[][..]),
+            (&[6, 7][..], &[0, 1, 2, 3, 4, 5][..]),
+        ] {
+            let mut q = IssueQueue::new(8);
+            for i in 0..8 {
+                q.push(entry(i));
+            }
+            q.remove_issued(issued);
+            let seqs: Vec<u64> = q.iter().map(|e| e.op.seq).collect();
+            assert_eq!(seqs, left, "after issuing {issued:?}");
+        }
     }
 
     #[test]

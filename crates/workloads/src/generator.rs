@@ -1,6 +1,6 @@
 //! The seeded micro-op trace generator.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,15 +42,19 @@ const PRODUCER_WINDOW: usize = 64;
 pub struct TraceGenerator {
     rng: StdRng,
     phases: Vec<PhaseSpec>,
+    /// Per phase, the log of the geometric lookback's continuation
+    /// probability (see [`TraceGenerator::pick_producer`]).
+    lookback_ln: Vec<f64>,
     loops: bool,
     phase_idx: usize,
     ops_left_in_phase: u64,
     total_left: u64,
     seq: u64,
-    /// Recent producer seqs by value space.
-    recent_int: Vec<u64>,
-    recent_fp: Vec<u64>,
-    recent_load: Vec<u64>,
+    /// Recent producer seqs by value space, oldest first: rings of at most
+    /// `PRODUCER_WINDOW` entries.
+    recent_int: VecDeque<u64>,
+    recent_fp: VecDeque<u64>,
+    recent_load: VecDeque<u64>,
     /// Per-phase instruction pointer within the phase's code footprint.
     code_pos: u64,
     /// Round-robin cursors for the warm and cold regions.
@@ -104,6 +108,11 @@ impl TraceGenerator {
         Ok(TraceGenerator {
             rng: StdRng::seed_from_u64(seed ^ h),
             phases: spec.phases.clone(),
+            lookback_ln: spec
+                .phases
+                .iter()
+                .map(|p| Self::lookback_ln(p.dep_mean))
+                .collect(),
             class_maps: vec![None; n_phases],
             seed: seed ^ h,
             loops: spec.loops,
@@ -111,9 +120,9 @@ impl TraceGenerator {
             ops_left_in_phase: first_len,
             total_left: total_ops,
             seq: 0,
-            recent_int: Vec::with_capacity(PRODUCER_WINDOW),
-            recent_fp: Vec::with_capacity(PRODUCER_WINDOW),
-            recent_load: Vec::with_capacity(PRODUCER_WINDOW),
+            recent_int: VecDeque::with_capacity(PRODUCER_WINDOW),
+            recent_fp: VecDeque::with_capacity(PRODUCER_WINDOW),
+            recent_load: VecDeque::with_capacity(PRODUCER_WINDOW),
             code_pos: 0,
             warm_pos: 0,
             cold_pos: 0,
@@ -145,8 +154,12 @@ impl TraceGenerator {
         w.put_u64(self.ops_left_in_phase);
         w.put_u64(self.total_left);
         w.put_u64(self.seq);
+        // Front to back: the `put_seq` layout of the window as a slice.
         for window in [&self.recent_int, &self.recent_fp, &self.recent_load] {
-            w.put_seq(window, |w, &s| w.put_u64(s));
+            w.put_usize(window.len());
+            for &s in window {
+                w.put_u64(s);
+            }
         }
         w.put_u64(self.code_pos);
         w.put_u64(self.warm_pos);
@@ -183,9 +196,9 @@ impl TraceGenerator {
         self.ops_left_in_phase = r.take_u64()?;
         self.total_left = r.take_u64()?;
         self.seq = r.take_u64()?;
-        self.recent_int = r.take_seq(|r| r.take_u64())?;
-        self.recent_fp = r.take_seq(|r| r.take_u64())?;
-        self.recent_load = r.take_seq(|r| r.take_u64())?;
+        self.recent_int = r.take_seq(|r| r.take_u64())?.into();
+        self.recent_fp = r.take_seq(|r| r.take_u64())?.into();
+        self.recent_load = r.take_seq(|r| r.take_u64())?.into();
         self.code_pos = r.take_u64()?;
         self.warm_pos = r.take_u64()?;
         self.cold_pos = r.take_u64()?;
@@ -206,25 +219,30 @@ impl TraceGenerator {
         self.code_pos = 0;
     }
 
+    /// `ln(1-p)` of the geometric lookback with mean distance `dep_mean`:
+    /// P(k) ∝ (1-p)^k with mean (1-p)/p = dep_mean-1.
+    fn lookback_ln(dep_mean: f64) -> f64 {
+        let p = 1.0 / dep_mean.max(1.0);
+        (1.0 - p).max(1e-9).ln()
+    }
+
     /// Picks a producer from `window`, geometrically biased toward recent
-    /// entries with the given mean lookback.
-    fn pick_producer(rng: &mut StdRng, window: &[u64], dep_mean: f64) -> Option<u64> {
+    /// entries; `lookback_ln` is the phase's [`TraceGenerator::lookback_ln`].
+    fn pick_producer(rng: &mut StdRng, window: &VecDeque<u64>, lookback_ln: f64) -> Option<u64> {
         if window.is_empty() {
             return None;
         }
-        // Geometric lookback: P(k) ∝ (1-p)^k with mean (1-p)/p = dep_mean-1.
-        let p = 1.0 / dep_mean.max(1.0);
         let u: f64 = rng.gen::<f64>().max(1e-12);
-        let k = (u.ln() / (1.0 - p).max(1e-9).ln()).floor() as usize;
+        let k = (u.ln() / lookback_ln).floor() as usize;
         let k = k.min(window.len() - 1);
         Some(window[window.len() - 1 - k])
     }
 
-    fn push_producer(window: &mut Vec<u64>, seq: u64) {
+    fn push_producer(window: &mut VecDeque<u64>, seq: u64) {
         if window.len() == PRODUCER_WINDOW {
-            window.remove(0);
+            window.pop_front();
         }
-        window.push(seq);
+        window.push_back(seq);
     }
 
     /// The stable op class of static code position `pos` in phase
@@ -332,13 +350,13 @@ impl Iterator for TraceGenerator {
         self.code_pos += 1;
 
         let class = self.class_at(self.phase_idx, pos);
-        let dep = phase.dep_mean;
+        let lookback = self.lookback_ln[self.phase_idx];
 
         let op = match class {
             OpClass::IntAlu | OpClass::IntMul => {
-                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, dep);
+                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, lookback);
                 let s2 = if self.rng.gen::<f64>() < 0.4 {
-                    Self::pick_producer(&mut self.rng, &self.recent_load, dep)
+                    Self::pick_producer(&mut self.rng, &self.recent_load, lookback)
                 } else {
                     None
                 };
@@ -347,11 +365,11 @@ impl Iterator for TraceGenerator {
                 op
             }
             OpClass::FpAlu | OpClass::FpMul | OpClass::FpDiv => {
-                let s1 = Self::pick_producer(&mut self.rng, &self.recent_fp, dep);
+                let s1 = Self::pick_producer(&mut self.rng, &self.recent_fp, lookback);
                 let s2 = if self.rng.gen::<f64>() < 0.5 {
-                    Self::pick_producer(&mut self.rng, &self.recent_load, dep)
+                    Self::pick_producer(&mut self.rng, &self.recent_load, lookback)
                 } else {
-                    Self::pick_producer(&mut self.rng, &self.recent_fp, dep)
+                    Self::pick_producer(&mut self.rng, &self.recent_fp, lookback)
                 };
                 let op = MicroOp::compute(seq, class, pc, s1, s2);
                 Self::push_producer(&mut self.recent_fp, seq);
@@ -359,7 +377,7 @@ impl Iterator for TraceGenerator {
             }
             OpClass::Load => {
                 let addr = self.gen_addr(&phase);
-                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, dep);
+                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, lookback);
                 let op = MicroOp::mem(seq, OpClass::Load, pc, addr, s1);
                 Self::push_producer(&mut self.recent_load, seq);
                 op
@@ -368,15 +386,15 @@ impl Iterator for TraceGenerator {
                 let addr = self.gen_addr(&phase);
                 // Stores consume a value from whichever space is active.
                 let s1 = if phase.mix.fp_fraction() > 0.05 && self.rng.gen::<f64>() < 0.5 {
-                    Self::pick_producer(&mut self.rng, &self.recent_fp, dep)
+                    Self::pick_producer(&mut self.rng, &self.recent_fp, lookback)
                 } else {
-                    Self::pick_producer(&mut self.rng, &self.recent_int, dep)
+                    Self::pick_producer(&mut self.rng, &self.recent_int, lookback)
                 };
                 MicroOp::mem(seq, OpClass::Store, pc, addr, s1)
             }
             OpClass::Branch => {
                 let taken = self.gen_branch_outcome(&phase, pc);
-                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, dep);
+                let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, lookback);
                 MicroOp::branch(seq, pc, taken, s1)
             }
         };
@@ -503,6 +521,38 @@ mod tests {
             g.next().expect("trace long enough");
         }
         assert_eq!(g.current_phase().name, first);
+    }
+
+    fn state_bytes(g: &TraceGenerator) -> Vec<u8> {
+        let mut w = mcd_snap::SnapWriter::new();
+        g.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// With every producer window wrapped past its capacity, a snapshot
+    /// restores into a fresh generator that continues the identical op
+    /// stream and re-serializes to the identical bytes.
+    #[test]
+    fn wrapped_windows_round_trip_through_a_snapshot() {
+        let s = spec("wupwise");
+        let mut g = TraceGenerator::new(&s, 40_000, 9);
+        for _ in 0..20_000 {
+            g.next().expect("trace long enough");
+        }
+        for window in [&g.recent_int, &g.recent_fp, &g.recent_load] {
+            assert_eq!(window.len(), PRODUCER_WINDOW);
+            assert!(window.iter().all(|&seq| seq >= PRODUCER_WINDOW as u64));
+        }
+        let bytes = state_bytes(&g);
+        let mut restored = TraceGenerator::new(&s, 40_000, 9);
+        restored
+            .load_state(&mut mcd_snap::SnapReader::new(&bytes))
+            .expect("round trip");
+        assert_eq!(state_bytes(&restored), bytes);
+        for i in 0..10_000 {
+            assert_eq!(restored.next(), g.next(), "op {i} after restore");
+        }
+        assert_eq!(state_bytes(&restored), state_bytes(&g));
     }
 
     #[test]
