@@ -10,6 +10,7 @@
 //! repro trace convert FILE --out FILE
 //! repro trace replay FILE.mcdt --episode K
 //! repro profile <experiment>... [--ops N] [--quick] [--seed S] [--jobs N]
+//!                               [--shard-ops N] [--shard-secs S]
 //! ```
 //!
 //! Each simulation is single-threaded and deterministic; `--jobs N` sets
@@ -48,9 +49,10 @@
 //! forms losslessly, and `repro trace replay FILE.mcdt --episode K`
 //! re-simulates one catalogued episode from the nearest snapshot anchor
 //! and verifies it byte-for-byte against the recording (DESIGN.md §14).
-//! `repro profile <ids>` re-runs experiments with the span profiler and
-//! distribution telemetry enabled and prints where the wall time went.
+//! `repro profile <ids>` re-runs experiments with distribution telemetry
+//! enabled and prints, from the run ledger, where the time went.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -71,7 +73,8 @@ fn usage() -> String {
          \x20      repro trace analyze FILE [--out FILE] [--episodes] [--worst N]\n\
          \x20      repro trace convert FILE --out FILE\n\
          \x20      repro trace replay FILE.mcdt --episode K\n\
-         \x20      repro profile <experiment>... [--ops N] [--quick] [--seed S] [--jobs N]\n\
+         \x20      repro profile <experiment>... [--ops N] [--quick] [--seed S] [--jobs N] \
+         [--shard-ops N] [--shard-secs S]\n\
          experiments: {}\n\
          --shard-ops N splits each simulation into N-instruction segments at snapshot\n\
          boundaries (0 disables; reports are byte-identical either way);\n\
@@ -587,108 +590,158 @@ fn trace_replay_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro profile <ids>`: re-runs experiments with the span profiler and
-/// distribution telemetry enabled and prints a per-experiment phase
-/// breakdown. Wall readings vary run to run, so this output is never
-/// golden-gated.
-fn profile_cmd(args: &[String]) -> ExitCode {
+/// The flags only a sweep takes: where its outputs go and how its
+/// experiments are isolated. `repro profile` refuses them.
+#[derive(Default)]
+struct SweepFlags {
+    out_dir: Option<PathBuf>,
+    bench_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    checkpoint_dir: Option<PathBuf>,
+    resume: bool,
+    run_timeout: Option<Duration>,
+}
+
+/// What to run: experiment ids, the run configuration and the worker
+/// count.
+struct RunArgs {
+    ids: Vec<&'static str>,
+    cfg: RunConfig,
+    jobs: usize,
+}
+
+/// Parses `<experiment>... [flags]` — the one parser behind a sweep and
+/// `repro profile`. Leading non-flag arguments are experiment names
+/// (`all` expands to every id; see [`experiments::resolve`]). The run-shaping flags are always
+/// accepted; the sweep-only ones only when `sweep` is given to hold
+/// them. `Err` carries the message printed above the usage text.
+fn parse_run_args(args: &[String], mut sweep: Option<&mut SweepFlags>) -> Result<RunArgs, String> {
     let mut ids: Vec<&'static str> = Vec::new();
     let mut i = 0;
     while i < args.len() && !args[i].starts_with("--") {
-        let id = match args[i].as_str() {
-            "headline" => "fig9",
-            other => other,
-        };
-        if id == "all" {
+        let name = args[i].as_str();
+        if name == "all" {
             ids.extend(experiments::ALL);
-        } else if let Some(&known) = experiments::ALL.iter().find(|&&e| e == id) {
-            if !ids.contains(&known) {
-                ids.push(known);
+        } else if let Some(id) = experiments::resolve(name) {
+            if !ids.contains(&id) {
+                ids.push(id);
             }
         } else {
-            eprintln!("unknown experiment {id}\n{}", usage());
-            return ExitCode::FAILURE;
+            return Err(format!("unknown experiment {name}"));
         }
         i += 1;
     }
     if ids.is_empty() {
-        eprintln!("no experiments named\n{}", usage());
-        return ExitCode::FAILURE;
-    }
-    let mut cfg = RunConfig::full();
-    let mut jobs = mcd_bench::parallel::default_jobs();
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cfg = RunConfig::quick(),
-            "--ops" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--ops needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                cfg = cfg.with_ops(n);
-            }
-            "--seed" => {
-                i += 1;
-                let Some(s) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--seed needs an integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                cfg.seed = s;
-            }
-            "--jobs" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-                jobs = n;
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
+        return Err("no experiments named".to_string());
     }
 
-    let rs = RunSet::new(jobs).with_telemetry().with_profiling();
-    for (n, id) in ids.iter().enumerate() {
-        let before = rs.profiler().snapshot();
-        let wall_before = rs.wall_snapshot();
-        let start = Instant::now();
-        if let Err(e) = experiments::run_on(&rs, id, &cfg) {
-            eprintln!("{id}: {e}");
+    let mut cfg = RunConfig::full();
+    let mut jobs = mcd_bench::parallel::default_jobs();
+    let mut rest = args[i..].iter();
+    while let Some(flag) = rest.next() {
+        match (flag.as_str(), sweep.as_deref_mut()) {
+            ("--quick", _) => cfg = RunConfig::quick(),
+            ("--ops", _) => cfg = cfg.with_ops(positive(rest.next(), "--ops")?),
+            ("--seed", _) => cfg.seed = value(rest.next(), "--seed needs an integer")?,
+            ("--jobs", _) => jobs = positive(rest.next(), "--jobs")? as usize,
+            ("--shard-ops", _) => {
+                let n = value(rest.next(), "--shard-ops needs an integer (0 disables)")?;
+                cfg = cfg.with_shard_ops(n);
+            }
+            ("--shard-secs", _) => {
+                let secs: f64 = value(rest.next(), "--shard-secs needs seconds")?;
+                if !(secs > 0.0 && secs.is_finite()) {
+                    return Err("--shard-secs needs positive seconds".to_string());
+                }
+                cfg = cfg.with_shard_ops((secs * SHARD_OPS_PER_SEC).max(1.0) as u64);
+            }
+            ("--resume", Some(s)) => s.resume = true,
+            ("--out", Some(s)) => s.out_dir = Some(value(rest.next(), "--out needs a directory")?),
+            ("--bench-out", Some(s)) => {
+                s.bench_out = Some(value(rest.next(), "--bench-out needs a file")?)
+            }
+            ("--trace-out", Some(s)) => {
+                s.trace_out = Some(value(rest.next(), "--trace-out needs a file")?)
+            }
+            ("--checkpoint", Some(s)) => {
+                s.checkpoint_dir = Some(value(rest.next(), "--checkpoint needs a directory")?)
+            }
+            ("--run-timeout", Some(s)) => {
+                let secs: f64 = value(rest.next(), "--run-timeout needs seconds")?;
+                let budget = Duration::try_from_secs_f64(secs).ok();
+                let budget = budget.filter(|b| !b.is_zero());
+                s.run_timeout = Some(budget.ok_or("--run-timeout needs positive seconds")?);
+            }
+            (other, _) => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(RunArgs { ids, cfg, jobs })
+}
+
+/// A flag's value parsed as `T`, or `missing` as the error.
+fn value<T: std::str::FromStr>(raw: Option<&String>, missing: &str) -> Result<T, String> {
+    raw.and_then(|v| v.parse().ok())
+        .ok_or_else(|| missing.to_string())
+}
+
+/// A flag's value as a positive integer.
+fn positive(raw: Option<&String>, flag: &str) -> Result<u64, String> {
+    let missing = format!("{flag} needs a positive integer");
+    value(raw, &missing).and_then(|n| if n > 0 { Ok(n) } else { Err(missing) })
+}
+
+/// `repro profile <ids>`: re-runs experiments one at a time on a fresh
+/// run set with distribution telemetry enabled and prints, from the run
+/// ledger, where each one's time went — its elapsed wall time, its
+/// exact per-run p50/p99, and two rows of calls and summed compute: the
+/// experiment's own runs, and the memoized baseline computes it
+/// triggered (the set's growth minus the experiment's share). Wall
+/// readings vary run to run, so this output is never golden-gated.
+fn profile_cmd(args: &[String]) -> ExitCode {
+    let RunArgs { ids, cfg, jobs } = match parse_run_args(args, None) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}\n{}", usage());
             return ExitCode::FAILURE;
         }
+    };
+    let rs = RunSet::new(jobs).with_telemetry();
+    for (n, id) in ids.iter().enumerate() {
+        let (runs_before, compute_before) = (rs.stats().runs, rs.compute_s());
+        let start = Instant::now();
+        let record = match experiments::complete(&rs, id, &cfg) {
+            Ok(record) => record,
+            Err(e) => {
+                eprintln!("{id}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let wall_s = start.elapsed().as_secs_f64();
-        let phases = rs.profiler().snapshot().diff(&before);
-        let wall = rs.wall_snapshot().diff(&wall_before);
-        let mut t = Table::new(["phase", "calls", "wall", "share"]);
-        for p in &phases.phases {
-            // Share of the experiment's wall clock; nested paths (e.g.
-            // baseline/simulate) also count toward their parents, so
-            // shares need not sum to 100%.
-            let share = p.seconds() * 100.0 / wall_s.max(1e-9);
+        let own = rs.tag_stats(id);
+        let runs = rs.stats().runs - runs_before;
+        let compute_s = rs.compute_s() - compute_before;
+        let mut t = Table::new(["phase", "calls", "compute"]);
+        for (phase, calls, secs) in [
+            ("runs", own.stats.runs, own.compute_s()),
+            (
+                "baseline computes",
+                runs - own.stats.runs,
+                compute_s - own.compute_s(),
+            ),
+        ] {
             t.row([
-                p.path.clone(),
-                p.calls.to_string(),
-                format!("{:.3} s", p.seconds()),
-                format!("{share:.1}%"),
+                phase.to_string(),
+                calls.to_string(),
+                format!("{:.3} s", secs.max(0.0)),
             ]);
         }
         if n > 0 {
             println!();
         }
         println!(
-            "{id}: {wall_s:.3} s wall, {} simulations (per-run p50 {:.3} s, p99 {:.3} s)\n\n{}",
-            wall.count(),
-            wall.p50() as f64 / 1e6,
-            wall.p99() as f64 / 1e6,
+            "{id}: {wall_s:.3} s wall, {runs} simulations (per-run p50 {:.3} s, p99 {:.3} s)\n\n{}",
+            record.run_wall_p50_s,
+            record.run_wall_p99_s,
             t.render()
         );
     }
@@ -717,144 +770,22 @@ fn main() -> ExitCode {
         return profile_cmd(&args[1..]);
     }
 
-    // Leading non-flag arguments are experiment ids ("headline" is a
-    // friendlier alias for the reconstructed Figure 9).
-    let mut ids: Vec<&'static str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() && !args[i].starts_with("--") {
-        let id = match args[i].as_str() {
-            "headline" => "fig9",
-            other => other,
-        };
-        if id == "all" {
-            ids.extend(experiments::ALL);
-        } else if let Some(&known) = experiments::ALL.iter().find(|&&e| e == id) {
-            if !ids.contains(&known) {
-                ids.push(known);
-            }
-        } else {
-            eprintln!("unknown experiment {id}\n{}", usage());
+    let mut flags = SweepFlags::default();
+    let RunArgs { ids, cfg, jobs } = match parse_run_args(&args, Some(&mut flags)) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}\n{}", usage());
             return ExitCode::FAILURE;
         }
-        i += 1;
-    }
-    if ids.is_empty() {
-        eprintln!("no experiments named\n{}", usage());
-        return ExitCode::FAILURE;
-    }
-
-    let mut cfg = RunConfig::full();
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut bench_out: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut checkpoint_dir: Option<std::path::PathBuf> = None;
-    let mut resume = false;
-    let mut run_timeout: Option<Duration> = None;
-    let mut jobs = mcd_bench::parallel::default_jobs();
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cfg = RunConfig::quick(),
-            "--resume" => resume = true,
-            "--out" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--out needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                out_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--bench-out" => {
-                i += 1;
-                let Some(file) = args.get(i) else {
-                    eprintln!("--bench-out needs a file\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                bench_out = Some(std::path::PathBuf::from(file));
-            }
-            "--trace-out" => {
-                i += 1;
-                let Some(file) = args.get(i) else {
-                    eprintln!("--trace-out needs a file\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                trace_out = Some(std::path::PathBuf::from(file));
-            }
-            "--checkpoint" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--checkpoint needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                checkpoint_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--run-timeout" => {
-                i += 1;
-                let Some(secs) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--run-timeout needs seconds\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                let budget = Duration::try_from_secs_f64(secs).ok();
-                let Some(budget) = budget.filter(|b| !b.is_zero()) else {
-                    eprintln!("--run-timeout needs positive seconds\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                run_timeout = Some(budget);
-            }
-            "--jobs" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-                jobs = n;
-            }
-            "--ops" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--ops needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                cfg = cfg.with_ops(n);
-            }
-            "--seed" => {
-                i += 1;
-                let Some(s) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--seed needs an integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                cfg.seed = s;
-            }
-            "--shard-ops" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--shard-ops needs an integer (0 disables)\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                cfg = cfg.with_shard_ops(n);
-            }
-            "--shard-secs" => {
-                i += 1;
-                let Some(secs) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--shard-secs needs seconds\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                if !(secs > 0.0 && secs.is_finite()) {
-                    eprintln!("--shard-secs needs positive seconds\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-                cfg = cfg.with_shard_ops((secs * SHARD_OPS_PER_SEC).max(1.0) as u64);
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    };
+    let SweepFlags {
+        out_dir,
+        bench_out,
+        trace_out,
+        checkpoint_dir,
+        resume,
+        run_timeout,
+    } = flags;
     if resume && checkpoint_dir.is_none() {
         eprintln!("--resume needs --checkpoint DIR\n{}", usage());
         return ExitCode::FAILURE;
@@ -873,7 +804,7 @@ fn main() -> ExitCode {
 
     // Distribution telemetry rides along whenever a machine-readable
     // benchmark record was asked for; the default path keeps NullSink.
-    let rs = RunSet::init_global(jobs, trace_out.is_some(), bench_out.is_some(), false);
+    let rs = RunSet::init_global(jobs, trace_out.is_some(), bench_out.is_some());
     let all_start = Instant::now();
 
     // Replay checkpointed entries, then run what is left. One ordered
@@ -899,43 +830,15 @@ fn main() -> ExitCode {
     // pool (capped at --jobs workers), so the sweep drives several
     // experiments concurrently without oversubscribing: an experiment's
     // long tail run no longer strands the other cores. Per-experiment
-    // numbers come from tag attribution, not counter deltas, so they
-    // stay honest while experiments interleave. The isolation lives in
-    // `isolated`: panic capture, the optional per-attempt wall-clock
-    // budget (the pool's workers inherit the deadline with the tag), and
-    // one retry for transient failures (reset_tag keeps a retried
-    // attempt from double-charging its first try).
+    // numbers come from tag attribution (`experiments::complete`), not
+    // counter deltas, so they stay honest while experiments interleave.
+    // The isolation lives in `isolated`: panic capture, the optional
+    // per-attempt wall-clock budget (the pool's workers inherit the
+    // deadline with the tag), and one retry for transient failures.
     let drivers = jobs.min(pending.len()).max(1);
     let results = par_map(drivers, pending.clone(), |(_, id)| {
         isolated(run_timeout, || {
-            rs.reset_tag(id);
-            let start = Instant::now();
-            let report = rs.with_tag(id, || experiments::run_on(rs, id, &cfg))?;
-            let driver_wall_s = start.elapsed().as_secs_f64();
-            let kind = experiments::kind(id).expect("ids are validated against ALL");
-            let tag = rs.tag_stats(id);
-            // Simulation experiments report the machine time their runs
-            // actually consumed (the driver's elapsed clock would include
-            // other experiments' runs interleaving on the shared pool);
-            // analysis experiments do no pool work, so the driver clock
-            // is the honest figure.
-            let wall_s = if kind == experiments::Kind::Simulation && tag.compute_us > 0 {
-                tag.wall_s()
-            } else {
-                driver_wall_s
-            };
-            let run = CompletedRun {
-                report,
-                kind: kind.label().to_string(),
-                wall_s,
-                runs: tag.runs,
-                instructions: tag.instructions,
-                baseline_requests: tag.baseline_requests,
-                events_processed: tag.events_processed,
-                cycles_skipped: tag.cycles_skipped,
-                run_wall_p50_s: tag.run_wall_p50_s(),
-                run_wall_p99_s: tag.run_wall_p99_s(),
-            };
+            let run = experiments::complete(rs, id, &cfg)?;
             if let Some(ck) = &checkpoint {
                 ck.store(id, &run)?;
             }
@@ -1020,7 +923,7 @@ fn main() -> ExitCode {
             rs.jobs(),
             all_start.elapsed().as_secs_f64(),
             &rs.stats(),
-            rs.wall_snapshot().sum() as f64 / 1e6,
+            rs.compute_s(),
             &records,
             &activity,
             rs.telemetry(),

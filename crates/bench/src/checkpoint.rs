@@ -71,18 +71,28 @@ pub fn write_file(path: &Path, contents: &[u8]) -> Result<(), RunError> {
 }
 
 /// One completed experiment as recorded in (or replayed from) a
-/// checkpoint.
+/// checkpoint — `repro`'s bench record and `mcd-serve`'s `/run` record
+/// alike. [`crate::experiments::complete`] is the one place that builds
+/// it, from the experiment tag's share of the run set's ledger. The
+/// counters are the experiment's own runs: the memoized baseline
+/// computes it triggers are charged to the run set's totals only, so
+/// the record reads the same whether the experiment ran alone or
+/// inside a concurrent sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedRun {
     /// The rendered report, byte-exact.
     pub report: String,
     /// Experiment kind label (`simulation` / `analysis`).
     pub kind: String,
-    /// Wall-clock seconds the original run took.
+    /// Seconds the experiment cost: for a simulation experiment that ran
+    /// simulations, its runs' summed compute (under a shared pool the
+    /// elapsed clock would include other experiments' runs); otherwise
+    /// the elapsed time.
     pub wall_s: f64,
-    /// Simulations the run executed.
+    /// Simulations the experiment itself ran (baseline computes
+    /// excluded).
     pub runs: u64,
-    /// Instructions simulated.
+    /// Instructions those simulations retired.
     pub instructions: u64,
     /// Baseline lookups the experiment issued (hits and computes alike —
     /// see `RunStats::baseline_requests` for why requests, not hits, are
@@ -94,10 +104,11 @@ pub struct CompletedRun {
     /// through steady-state replay or sample batching instead of
     /// dispatching them individually.
     pub cycles_skipped: u64,
-    /// Median per-simulation wall time within this experiment, seconds
-    /// (0 when the experiment ran no simulations).
+    /// Median wall time of the experiment's simulation segments (one per
+    /// run unless sharded), seconds: the exact nearest-rank value, 0
+    /// when the experiment ran no simulations.
     pub run_wall_p50_s: f64,
-    /// 99th-percentile per-simulation wall time, seconds.
+    /// 99th-percentile segment wall time, seconds, by the same rule.
     pub run_wall_p99_s: f64,
 }
 

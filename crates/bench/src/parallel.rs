@@ -54,23 +54,46 @@ where
     if jobs <= 1 {
         return items.into_iter().map(f).collect();
     }
+    in_order(items, f, |len, run| {
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= len {
+                        break;
+                    }
+                    run(i);
+                });
+            }
+        });
+    })
+}
+
+/// The ordered-slot collector behind [`par_map`] and
+/// [`crate::runner::RunSet::par`]: parks each item in its own slot,
+/// hands `execute` the item count and a runner to call once per index
+/// in `0..len`, on whatever threads it likes, and collects the results
+/// in input order.
+pub(crate) fn in_order<T, R, F>(
+    items: Vec<T>,
+    f: F,
+    execute: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = (0..inputs.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = inputs.get(i) else { break };
-                let item = slot
-                    .lock()
-                    .expect("input slot poisoned")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let result = f(item);
-                *outputs[i].lock().expect("output slot poisoned") = Some(result);
-            });
-        }
+    let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    execute(inputs.len(), &|i| {
+        let item = inputs[i]
+            .lock()
+            .expect("input slot poisoned")
+            .take()
+            .expect("each index is claimed exactly once");
+        *outputs[i].lock().expect("output slot poisoned") = Some(f(item));
     });
     outputs
         .into_iter()

@@ -73,3 +73,39 @@ fn baseline_cache_dedupes_repeat_requests() {
     let _ = rs.baseline("gzip", &traced);
     assert_eq!(rs.stats().runs, 2, "traces flag must split the key");
 }
+
+/// An experiment record has one meaning wherever it is built: the
+/// counters `experiments::complete` returns for an experiment alone on a
+/// fresh one-worker set (how the service runs it) equal the ones it
+/// returns inside a two-driver concurrent sweep on a shared set (how
+/// `repro` runs it). Memoized baseline computes land on whichever
+/// experiment's run first asks, so they must count in neither record.
+#[test]
+fn records_count_the_same_alone_and_inside_a_shared_sweep() {
+    use mcd_bench::checkpoint::CompletedRun;
+    use mcd_bench::experiments::complete;
+
+    let cfg = RunConfig::quick().with_ops(20_000);
+    let ids = vec!["fig9", "table2"];
+    let counters = |r: &CompletedRun| {
+        (
+            r.runs,
+            r.instructions,
+            r.baseline_requests,
+            r.events_processed,
+            r.cycles_skipped,
+        )
+    };
+    let alone: Vec<_> = ids
+        .iter()
+        .map(|id| counters(&complete(&RunSet::new(1), id, &cfg).expect("valid run")))
+        .collect();
+    let shared = RunSet::new(2);
+    let swept: Vec<_> = par_map(2, ids.clone(), |id| {
+        counters(&complete(&shared, id, &cfg).expect("valid run"))
+    });
+    assert_eq!(alone, swept);
+    assert_eq!(alone[0].0, 17, "fig9 counts its adaptive runs only");
+    assert_eq!(alone[1].0, 0, "table2 runs only memoized baselines");
+    assert_eq!(alone[1].2, 17, "but its baseline requests count");
+}

@@ -4,10 +4,10 @@
 //! coalesced followers, cache hits, executions, failures — everything
 //! the load-shedding and coalescing machinery decides), the per-endpoint
 //! per-outcome *latency histograms*, and the *simulation* counters from
-//! the observability layer (DESIGN.md §6): runs, instructions,
-//! baseline-cache hits, and the per-domain controller-activity aggregate
-//! including mean reaction time, folded in from every run set the
-//! service has executed.
+//! the observability layer (DESIGN.md §6): runs (memoized baseline
+//! computes included), instructions, baseline requests, and the
+//! per-domain controller-activity aggregate including mean reaction
+//! time, folded in from every run set the service has executed.
 //!
 //! Rendering goes through one [`MetricsSnapshot`]: every counter is
 //! loaded exactly once per request, and both the JSON and the Prometheus
@@ -122,15 +122,6 @@ impl Outcome {
     }
 }
 
-/// Simulation-side totals, merged from per-request run sets.
-#[derive(Default, Clone, Copy)]
-struct SimTotals {
-    runs: u64,
-    instructions: u64,
-    baseline_requests: u64,
-    activity: ControllerActivity,
-}
-
 /// All service counters. Every field is monotonic except the gauges
 /// passed into [`ServeMetrics::snapshot`] at render time.
 #[derive(Default)]
@@ -176,17 +167,16 @@ pub struct ServeMetrics {
     loop_iter_us: Histogram,
     /// Request latency in microseconds, by endpoint × outcome.
     latency: [[Histogram; Outcome::ALL.len()]; Endpoint::ALL.len()],
-    sim: Mutex<SimTotals>,
+    /// Simulation-side totals, merged from per-request run sets.
+    sim: Mutex<(RunStats, ControllerActivity)>,
 }
 
 impl ServeMetrics {
     /// Folds one executed request's run-set counters into the totals.
     pub fn absorb_run(&self, stats: RunStats, activity: &ControllerActivity) {
         let mut sim = self.sim.lock().expect("sim totals poisoned");
-        sim.runs += stats.runs;
-        sim.instructions += stats.instructions;
-        sim.baseline_requests += stats.baseline_requests;
-        sim.activity.merge(activity);
+        sim.0.merge(&stats);
+        sim.1.merge(activity);
     }
 
     /// Records one event-loop iteration's wall time (called by the loop
@@ -221,7 +211,7 @@ impl ServeMetrics {
         cache_entries: usize,
         draining: bool,
     ) -> MetricsSnapshot {
-        let sim = *self.sim.lock().expect("sim totals poisoned");
+        let (sim, activity) = *self.sim.lock().expect("sim totals poisoned");
         MetricsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -259,6 +249,7 @@ impl ServeMetrics {
                 .try_into()
                 .expect("grid length fixed"),
             sim,
+            activity,
         }
     }
 
@@ -322,7 +313,8 @@ pub struct MetricsSnapshot {
     /// Whether graceful shutdown has begun.
     pub draining: bool,
     latency: [[HistogramSnapshot; Outcome::ALL.len()]; Endpoint::ALL.len()],
-    sim: SimTotals,
+    sim: RunStats,
+    activity: ControllerActivity,
 }
 
 impl MetricsSnapshot {
@@ -368,7 +360,7 @@ impl MetricsSnapshot {
             self.sim.runs,
             self.sim.instructions,
             self.sim.baseline_requests,
-            self.sim.activity.to_json(),
+            self.activity.to_json(),
         )
     }
 
@@ -504,7 +496,7 @@ impl MetricsSnapshot {
         )
         .sample(&[], self.sim.baseline_requests);
 
-        let a = &self.sim.activity;
+        let a = &self.activity;
         let per_domain: [(&str, &str, &[u64; 3]); 8] = [
             (
                 "mcd_ctrl_relay_arms_total",

@@ -14,8 +14,10 @@
 //!    [`mcd_bench::parallel::isolated`] on the pool worker itself —
 //!    panic isolation, a per-attempt wall-clock budget that stops the
 //!    simulations at their next chunk, one retry for transient failures
-//!    — on a fresh per-request [`RunSet`], so counters attribute cleanly
-//!    under concurrency and reports stay deterministic.
+//!    — on a fresh per-request [`RunSet`], so its totals attribute
+//!    cleanly under concurrency and reports stay deterministic. The
+//!    record is [`experiments::complete`]'s, exactly as `repro` builds
+//!    it.
 //! 5. **Publish**: the leader fills the cache, then publishes one shared
 //!    response to every follower. Duplicates are byte-identical because
 //!    they are literally the same buffer.
@@ -405,7 +407,8 @@ impl EventTap for RoomTap {
     }
 }
 
-/// A completed execution plus the counters its private run set gathered.
+/// A completed execution plus the totals its private run set gathered
+/// (memoized baseline computes included, unlike the record).
 #[derive(Debug)]
 struct Bundle {
     run: CompletedRun,
@@ -417,10 +420,11 @@ struct Bundle {
 /// wall-clock budget per attempt, one retry for transient failures. It
 /// runs on the calling pool worker; an attempt over budget stops at its
 /// next simulation chunk, and its private pool is joined before this
-/// returns. Each execution gets a fresh [`RunSet`] so counter deltas
-/// attribute to this request even when other requests run concurrently;
-/// `tap`, when given, observes every simulation event live (streaming
-/// fan-out).
+/// returns. Each execution gets a fresh [`RunSet`], so its totals are
+/// this request's alone even when other requests run concurrently; the
+/// record itself is built by [`experiments::complete`], the same rule
+/// `repro` uses. `tap`, when given, observes every simulation event live
+/// (streaming fan-out).
 fn run_experiment(
     id: &'static str,
     cfg: &RunConfig,
@@ -433,31 +437,9 @@ fn run_experiment(
         if let Some(tap) = tap.clone() {
             rs = rs.with_event_tap(tap);
         }
-        let start = Instant::now();
-        let report = experiments::run_on(&rs, id, cfg)?;
-        let wall_s = start.elapsed().as_secs_f64();
-        let stats = rs.stats();
-        // Fresh RunSet per request, so the whole histogram is ours.
-        let wall = rs.wall_snapshot();
-        let wall_p50_s = wall.p50() as f64 / 1e6;
-        let wall_p99_s = wall.p99() as f64 / 1e6;
         Ok(Bundle {
-            run: CompletedRun {
-                report,
-                kind: experiments::kind(id)
-                    .expect("id validated against the registry")
-                    .label()
-                    .to_string(),
-                wall_s,
-                runs: stats.runs,
-                instructions: stats.instructions,
-                baseline_requests: stats.baseline_requests,
-                events_processed: stats.events_processed,
-                cycles_skipped: stats.cycles_skipped,
-                run_wall_p50_s: wall_p50_s,
-                run_wall_p99_s: wall_p99_s,
-            },
-            stats,
+            run: experiments::complete(&rs, id, cfg)?,
+            stats: rs.stats(),
             activity: rs.activity(),
         })
     })
@@ -548,15 +530,7 @@ fn parse_run_request(body: &[u8], base: &RunConfig) -> Result<(&'static str, Run
         }
     }
     let requested = requested.ok_or_else(|| bad("missing \"experiment\" field".into()))?;
-    let requested = if requested == "headline" {
-        "fig9"
-    } else {
-        requested
-    };
-    let id = experiments::ALL
-        .iter()
-        .copied()
-        .find(|e| *e == requested)
+    let id = experiments::resolve(requested)
         .ok_or_else(|| bad(format!("unknown experiment id {requested}")))?;
     Ok((id, cfg))
 }
@@ -690,5 +664,33 @@ mod tests {
         assert_eq!(bundle.run.kind, "analysis");
         assert_eq!(bundle.stats.runs, 0, "analysis runs no simulations");
         assert!(bundle.run.report.contains("Table 1"));
+
+        // A simulation experiment's record counts what `complete` counts:
+        // its own runs, not the memoized baseline computes it triggered —
+        // those reach only the totals that feed /metrics.
+        let cfg = base().with_ops(20_000);
+        let bundle =
+            run_experiment("table2", &cfg, 1, Duration::from_secs(60), None).expect("runs");
+        let direct = experiments::complete(&RunSet::new(1), "table2", &cfg).expect("runs");
+        let counters = |r: &CompletedRun| {
+            (
+                r.kind.clone(),
+                r.runs,
+                r.instructions,
+                r.baseline_requests,
+                r.events_processed,
+                r.cycles_skipped,
+            )
+        };
+        assert_eq!(counters(&bundle.run), counters(&direct));
+        assert_eq!(bundle.run.report, direct.report);
+        assert_eq!(
+            bundle.run.runs, 0,
+            "table2 simulates only memoized baselines"
+        );
+        assert!(
+            bundle.stats.runs > 0,
+            "the baseline computes count in the totals"
+        );
     }
 }

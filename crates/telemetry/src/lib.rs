@@ -1,20 +1,15 @@
 //! Unified telemetry primitives for the MCD reproduction stack
 //! (DESIGN.md §9).
 //!
-//! Three layers share these types:
+//! Two layers share these types:
 //!
 //! * **Histograms** ([`Histogram`]) — fixed-bucket, log-scale,
 //!   atomic-counter distributions. The simulator records per-domain
 //!   reaction-time and queue-occupancy distributions through them, the
-//!   harness records per-run wall time, and the service records request
-//!   latency per endpoint and outcome. `record` is a single relaxed
-//!   `fetch_add` per bucket — lock-free and safe to share across worker
-//!   threads.
-//! * **Span profiling** ([`Profiler`], [`Span`]) — a lightweight
-//!   wall-time + call-count tree answering "where does simulator time
-//!   go" per experiment (`repro profile`). Disabled profilers cost one
-//!   branch per span; wall-clock readings never flow into golden-gated
-//!   report bytes, only into the profile table and `--bench-out` JSON.
+//!   harness summarizes trace analyses with them, and the service
+//!   records request latency per endpoint and outcome. `record` is a
+//!   single relaxed `fetch_add` per bucket — lock-free and safe to share
+//!   across worker threads.
 //! * **Prometheus** ([`prometheus::PromText`]) — renders counters,
 //!   gauges, and histogram snapshots in the text exposition format
 //!   served by `GET /metrics`, plus [`prometheus::lint`], the
@@ -29,8 +24,6 @@
 
 pub mod histogram;
 pub mod prometheus;
-pub mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use prometheus::PromText;
-pub use span::{PhaseStat, ProfileSnapshot, Profiler, Span};
