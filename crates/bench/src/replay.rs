@@ -17,8 +17,10 @@
 //! paused.
 //!
 //! Only the index, the restored anchor and the segment's own blocks are
-//! read ([`read_segment`]), so a replay costs O(index + segment) in the
-//! recording, however long the rest of the file is.
+//! read ([`read_segment`]): from the anchor's block up to the events
+//! block holding the close, not to the next anchor. So a replay costs
+//! O(index + segment) in the recording, however long the rest of the
+//! shard or the file is.
 
 use mcd_sim::snapshot::config_hash;
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
@@ -218,14 +220,10 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
         .min(run_idx.event_count);
     let want = usize::try_from(end_idx - start_idx)
         .map_err(|_| RunError::Config(format!("segment of episode {k} overflows usize")))?;
-    // The recorded side is read up to the first anchor past the close
-    // (else the end of the run): decoding it first also CRC-checks every
-    // block the verdict depends on before any simulation is spent.
-    let end_anchor = anchors
-        .iter()
-        .position(|a| a.event_index > episode.close_event_index);
-    let mut original = read_segment(bytes, &index, ri, start_anchor, end_anchor).map_err(codec)?;
-    original.truncate(want);
+    // The recorded side is read up to the events block holding the
+    // close: decoding it first also CRC-checks every block the verdict
+    // depends on before any simulation is spent.
+    let original = read_segment(bytes, &index, ri, start_anchor, end_idx).map_err(codec)?;
 
     let mut machine = build_machine(&benchmark, scheme, &cfg)?;
     let anchor_retired = match start_anchor.map(|a| anchors[a]) {

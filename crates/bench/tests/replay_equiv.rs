@@ -4,13 +4,15 @@
 //! covering cold starts (onset before the first anchor), warm anchor
 //! restores, and end-of-run segments — plus the typed refusals for
 //! out-of-range ordinals and spec-less recordings, and the checks that a
-//! replay reads only its own segment, stops at the episode's close and
-//! verifies it bit for bit.
+//! replay reads only its own segment, stops at the episode's close (in
+//! the simulation and in the recording) and verifies it bit for bit.
 
 use mcd_bench::replay::replay_episode;
 use mcd_bench::runner::{RunConfig, RunSet, Scheme};
 use mcd_sim::{CtrlEvent, TraceEvent};
-use mcd_trace::{read_index, read_mcdt, write_mcdt, Episode, RunRecording, TraceIndex};
+use mcd_trace::{
+    block, read_index, read_mcdt, write_mcdt, Anchor, Episode, RunRecording, TraceIndex, FOOTER_LEN,
+};
 
 /// Records one sharded, traced sweep and returns its `.mcdt` bytes.
 fn record(benchmark: &str, scheme: Scheme, ops: u64, shard: u64) -> Vec<u8> {
@@ -250,4 +252,152 @@ fn a_segment_ending_mid_shard_verifies_only_up_to_the_close() {
         !edit(ep.close_event_index).byte_identical,
         "an edit of the close went unseen"
     );
+}
+
+/// Where a `.mcdt` file's index block starts, from its footer.
+fn index_offset(bytes: &[u8]) -> usize {
+    let footer = &bytes[bytes.len() - FOOTER_LEN..];
+    u64::from_le_bytes(footer[..8].try_into().expect("8 bytes")) as usize
+}
+
+/// One framed block of a run: its file offset, kind, and the run
+/// positions of the events it holds (empty unless an events block).
+struct Framed {
+    offset: usize,
+    kind: u8,
+    events: std::ops::Range<u64>,
+}
+
+/// The blocks of run `ri`, in file order, parsed from their frames.
+fn run_blocks(bytes: &[u8], index: &TraceIndex, ri: usize) -> Vec<Framed> {
+    let varint = |i: &mut usize| {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = bytes[*i];
+            *i += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    };
+    let end = index
+        .runs
+        .get(ri + 1)
+        .map_or(index_offset(bytes), |r| r.start_offset as usize);
+    let (mut pos, mut at) = (index.runs[ri].start_offset as usize, 0);
+    let mut out = Vec::new();
+    while pos < end {
+        let kind = bytes[pos];
+        let mut payload = pos + 1;
+        let len = varint(&mut payload) as usize;
+        let n = if kind == block::EVENTS {
+            varint(&mut payload.clone())
+        } else {
+            0
+        };
+        out.push(Framed {
+            offset: pos,
+            kind,
+            events: at..at + n,
+        });
+        at += n;
+        pos = payload + len + 4;
+    }
+    assert_eq!(pos, end, "blocks tile the run");
+    out
+}
+
+#[test]
+fn replay_reads_stop_at_the_close_block() {
+    // Shards of several thousand events: more than one events block
+    // between anchors.
+    let bytes = record("gzip", Scheme::Adaptive, 40_000, 10_000);
+    let index = read_index(&bytes).expect("index decodes");
+    let layout: Vec<Vec<Framed>> = (0..index.runs.len())
+        .map(|ri| run_blocks(&bytes, &index, ri))
+        .collect();
+    // The block after the one holding an episode's close.
+    let after_close = |ri: usize, ep: &Episode| {
+        let blocks = &layout[ri];
+        let at = blocks
+            .iter()
+            .position(|b| b.events.contains(&ep.close_event_index))?;
+        blocks.get(at + 1)
+    };
+    // One whose shard goes on in another events block after the close's.
+    let (k, ri, ep) = warm_episode(&index, |ri, ep| {
+        after_close(ri, ep).is_some_and(|next| next.kind == block::EVENTS)
+    });
+    let next = after_close(ri, &ep).expect("picked");
+    // A byte of the events block after the close's, before the next
+    // anchor, lies outside what the replay reads.
+    let mut after = bytes.clone();
+    after[next.offset + 8] ^= 0x40;
+    assert!(read_mcdt(&after).is_err(), "the corruption is real");
+    let outcome = replay_episode(&after, k).expect("read stops before the corruption");
+    assert!(outcome.byte_identical, "episode {k} diverged");
+    assert_eq!(
+        outcome.replayed,
+        replay_episode(&bytes, k).expect("replays").replayed
+    );
+    // The last CRC byte of the close's own block is inside it.
+    let mut own = bytes.clone();
+    own[next.offset - 1] ^= 0x40;
+    let e = replay_episode(&own, k).expect_err("corrupt close block");
+    assert_eq!(e.kind(), "config-invalid");
+    assert!(e.to_string().contains("crc mismatch"), "{e}");
+}
+
+#[test]
+fn a_close_just_before_an_anchor_still_checks_the_count() {
+    let bytes = record("gzip", Scheme::Adaptive, 40_000, 10_000);
+    let index = read_index(&bytes).expect("index decodes");
+    let runs = read_mcdt(&bytes).expect("decodes").runs;
+    // A warm episode with room for two more events in its shard.
+    let (k, ri, ep) = warm_episode(&index, |ri, ep| {
+        let run = &index.runs[ri];
+        let room = run
+            .anchors
+            .iter()
+            .find(|a| a.event_index > ep.close_event_index)
+            .map_or(run.event_count, |a| a.event_index - 1);
+        ep.close_event_index + 2 <= room
+    });
+    // The recording with one more anchor (never restored: it lies past
+    // the onset) at run position `at`.
+    let with_anchor_at = |at: u64| {
+        let mut runs = runs.clone();
+        let anchors = &mut runs[ri].anchors;
+        let j = anchors.partition_point(|a| a.event_index < at);
+        let retired = anchors[j - 1].retired + 1;
+        anchors.insert(
+            j,
+            Anchor {
+                event_index: at,
+                retired,
+                snapshot: Vec::new(),
+            },
+        );
+        write_mcdt(&runs)
+    };
+    // The close is the last event before the new anchor: the read stops
+    // at that anchor's position exactly, and the replay verifies.
+    let fenced = with_anchor_at(ep.close_event_index + 1);
+    let outcome = replay_episode(&fenced, k).expect("replays");
+    assert!(outcome.byte_identical, "episode {k} diverged");
+    assert_eq!(outcome.end_event_index, ep.close_event_index + 1);
+    // The same body with the anchor one event later, under the first
+    // file's index: the close's block now runs one event past the
+    // anchor position the index states, and the read refuses it.
+    let later = with_anchor_at(ep.close_event_index + 2);
+    let body = index_offset(&later);
+    let mut spliced = later[..body].to_vec();
+    spliced.extend_from_slice(&fenced[index_offset(&fenced)..fenced.len() - FOOTER_LEN]);
+    spliced.extend_from_slice(&(body as u64).to_le_bytes());
+    spliced.extend_from_slice(&fenced[fenced.len() - 8..]);
+    let e = replay_episode(&spliced, k).expect_err("index and stream disagree");
+    assert_eq!(e.kind(), "config-invalid");
+    assert!(e.to_string().contains("the index places"), "{e}");
 }

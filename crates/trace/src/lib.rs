@@ -44,7 +44,7 @@ mod jsonl;
 mod read;
 mod sink;
 
-pub use codec::wire_identical;
+pub use codec::{crc32, wire_identical};
 pub use episodes::{catalog_episodes, Episode};
 pub use frame::{decode_frame, encode_event_frame, encode_meta_frame, StreamFrame};
 pub use jsonl::{parse_jsonl, render_jsonl};

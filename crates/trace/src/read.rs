@@ -328,77 +328,108 @@ pub fn read_mcdt(bytes: &[u8]) -> Result<McdtFile, TraceCodecError> {
     Ok(McdtFile { runs, index })
 }
 
-/// Decodes one segment of run `run`: the events from its anchor `from`
-/// (`None`: the run's start) up to its anchor `to` (`None`: the run's
-/// end). Anchors in between are CRC-checked and skipped. Only the
-/// segment's blocks are read — with [`read_index`] a replay costs
-/// O(index + segment), not O(file). The segment must hold exactly the
-/// events the index places between its bounds.
+/// Decodes one segment of run `run`: the events `[first, to)`, where
+/// `first` is the position of its anchor `from` (`None`: the run's
+/// start). The walk starts at that anchor's block and stops after the
+/// events block that brings the segment to `to` events, so only the
+/// blocks up to the one holding event `to − 1` are read — with
+/// [`read_index`] a replay costs O(index + segment), not O(file). Every
+/// block read is CRC-checked and fully decoded, and anchors in between
+/// are CRC-checked and skipped. Wherever the walk reaches a later
+/// anchor's position or the run's end, it must hold exactly the events
+/// the index places there.
 pub fn read_segment(
     bytes: &[u8],
     index: &TraceIndex,
     run: usize,
     from: Option<usize>,
-    to: Option<usize>,
+    to: u64,
 ) -> Result<Vec<TraceEvent>, TraceCodecError> {
     let index_offset = footer_index_offset(bytes)?;
     let ri = index
         .runs
         .get(run)
         .ok_or_else(|| err(format!("no run {run} in a {}-run index", index.runs.len())))?;
-    let anchor = |k: usize| {
-        ri.anchors
-            .get(k)
-            .ok_or_else(|| err(format!("run {run} has no anchor {k}")))
-    };
     let (start, base, first) = match from {
-        Some(k) => anchor(k).map(|a| (a.offset, a.delta_base, a.event_index))?,
+        Some(k) => ri
+            .anchors
+            .get(k)
+            .map(|a| (a.offset, a.delta_base, a.event_index))
+            .ok_or_else(|| err(format!("run {run} has no anchor {k}")))?,
         None => (ri.start_offset, 0, 0),
     };
-    let (end, last) = match to {
-        Some(k) => anchor(k).map(|a| (a.offset, a.event_index))?,
-        None => (
-            index
-                .runs
-                .get(run + 1)
-                .map_or(index_offset as u64, |next| next.start_offset),
-            ri.event_count,
-        ),
-    };
+    let end = index
+        .runs
+        .get(run + 1)
+        .map_or(index_offset as u64, |next| next.start_offset);
     let offset = |o: u64| usize::try_from(o).ok().filter(|&o| o <= index_offset);
-    let (start, end, want) = match (offset(start), offset(end), last.checked_sub(first)) {
-        (Some(s), Some(e), Some(want)) if s <= e => (s, e, want),
+    let (start, end, want) = match (offset(start), offset(end)) {
+        (Some(s), Some(e)) if s <= e && first <= to && to <= ri.event_count => (s, e, to - first),
         _ => {
             return Err(err(format!(
-                "run {run}: segment [{start}, {end}) with events [{first}, {last}) \
-                 is not a range of the file"
+                "run {run}: segment from byte {start} (run ends at {end}) with events \
+                 [{first}, {to}) is not a range of the file"
             )))
         }
     };
+    // Where the index places the start anchor, each later one and the
+    // run's end, counted from `first`; `decode_index` keeps them in order.
+    let mut anchors = ri.anchors[from.unwrap_or(0)..]
+        .iter()
+        .map(|a| a.event_index.saturating_sub(first));
+    let mut next_anchor = anchors.next();
+    let run_end = ri.event_count - first;
     let mut walk = Blocks::new(&bytes[..end], start, base)?;
     // Each event takes at least three bytes: the reservation stays
     // bounded by the input whatever the index claims.
     let mut events = Vec::with_capacity((want as usize).min((end - start) / 3));
     let mut first_block = true;
-    while let Some(block) = walk.next(&mut events)? {
-        if matches!(block, Block::RunStart { .. }) && !(from.is_none() && first_block) {
-            return Err(err(format!("run {run}: segment crosses a run start")));
+    while (events.len() as u64) < want {
+        let block = walk.next(&mut events)?;
+        let held = events.len() as u64;
+        let bound = next_anchor.unwrap_or(run_end);
+        match block {
+            None => {
+                return Err(err(format!(
+                    "run {run}: segment ends after {held} events, short of the {want} \
+                     the index places there"
+                )))
+            }
+            Some(Block::RunStart { .. }) if !(from.is_none() && first_block) => {
+                return Err(err(format!("run {run}: segment crosses a run start")))
+            }
+            Some(Block::RunStart { .. }) => {}
+            // An anchor block sits exactly where the index places it...
+            Some(Block::Anchor(_)) if next_anchor == Some(held) => next_anchor = anchors.next(),
+            Some(Block::Anchor(_)) => {
+                return Err(err(format!(
+                    "run {run}: segment meets an anchor after {held} events, \
+                     the index places the next one after {bound}"
+                )))
+            }
+            // ...and no events block runs past it or past the run's end.
+            Some(Block::Events) if held > bound => {
+                return Err(err(format!(
+                    "run {run}: segment holds {held} events past the boundary \
+                     the index places after {bound}"
+                )))
+            }
+            Some(Block::Events) => {}
         }
         first_block = false;
     }
-    if events.len() as u64 != want {
-        return Err(err(format!(
-            "run {run}: segment holds {} events, the index places {want} there",
-            events.len()
-        )));
-    }
+    events.truncate(want as usize);
     Ok(events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::encode_index;
+    use crate::codec::write_block;
+    use crate::sink::{encode_index, write_mcdt};
+    use crate::EVENTS_PER_BLOCK;
+    use mcd_power::TimePs;
+    use mcd_sim::{CtrlEvent, DomainId, SignalKind, StepDir};
 
     fn valid() -> TraceIndex {
         let anchor = |event_index, retired| AnchorRef {
@@ -484,5 +515,88 @@ mod tests {
     #[test]
     fn an_episode_closing_past_the_run_is_refused() {
         refused(|r| r.episodes[1].close_event_index = 101, "out of order");
+    }
+
+    /// One run of 9 000 events with anchors at its start and at 5 000,
+    /// mid-way through its second events block.
+    fn recording() -> Vec<u8> {
+        let events = (0..9_000)
+            .map(|i| TraceEvent::Controller {
+                domain: DomainId::Int,
+                event: CtrlEvent::RelayFire {
+                    at: TimePs::new(100 * i),
+                    signal: SignalKind::Delta,
+                    dir: StepDir::Up,
+                },
+            })
+            .collect();
+        let anchor = |event_index, retired| Anchor {
+            event_index,
+            retired,
+            snapshot: vec![7; 32],
+        };
+        write_mcdt(&[RunRecording {
+            label: "r".into(),
+            spec: None,
+            events,
+            anchors: vec![anchor(0, 0), anchor(5_000, 1)],
+        }])
+    }
+
+    /// `bytes` with its index replaced by `edit` of it, re-sealed.
+    fn reindexed(bytes: &[u8], edit: impl FnOnce(&mut RunIndex)) -> (Vec<u8>, TraceIndex) {
+        let mut index = read_index(bytes).expect("index decodes");
+        edit(&mut index.runs[0]);
+        let at = footer_index_offset(bytes).expect("footer");
+        let mut out = bytes[..at].to_vec();
+        write_block(&mut out, block::INDEX, &encode_index(&index));
+        out.extend_from_slice(&(at as u64).to_le_bytes());
+        out.extend_from_slice(FOOTER_MAGIC);
+        (out, index)
+    }
+
+    fn misread(bytes: &[u8], index: &TraceIndex, from: Option<usize>, to: u64, what: &str) {
+        match read_segment(bytes, index, 0, from, to) {
+            Err(TraceCodecError(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            Ok(_) => panic!("[{from:?}, {to}) read past an index that disagrees ({what})"),
+        }
+    }
+
+    #[test]
+    fn a_segment_stopping_at_an_anchor_or_the_run_end_checks_the_count() {
+        let bytes = recording();
+        let index = read_index(&bytes).expect("index decodes");
+        for (from, to) in [(None, 4_999), (None, 5_000), (Some(1), 9_000), (Some(0), 7)] {
+            let got = read_segment(&bytes, &index, 0, from, to).expect("consistent");
+            let first = from.map_or(0, |k| index.runs[0].anchors[k].event_index);
+            assert_eq!(got.len() as u64, to - first);
+        }
+        // The index places the anchor one event early: the block that
+        // holds the segment's last event runs past it.
+        let (early, ix) = reindexed(&bytes, |r| r.anchors[1].event_index = 4_999);
+        misread(
+            &early,
+            &ix,
+            None,
+            4_999,
+            "past the boundary the index places after 4999",
+        );
+        // One event late: the walk meets the anchor block first.
+        let (late, ix) = reindexed(&bytes, |r| r.anchors[1].event_index = 5_001);
+        misread(&late, &ix, None, 5_001, "meets an anchor after 5000 events");
+        // A stop short of every boundary reads no further, so it cannot
+        // see the disagreement.
+        assert!(read_segment(&late, &ix, 0, None, EVENTS_PER_BLOCK).is_ok());
+        // The run's end one event early, then one late.
+        let (short, ix) = reindexed(&bytes, |r| r.event_count = 8_999);
+        misread(
+            &short,
+            &ix,
+            Some(1),
+            8_999,
+            "past the boundary the index places after 3999",
+        );
+        let (long, ix) = reindexed(&bytes, |r| r.event_count = 9_001);
+        misread(&long, &ix, Some(1), 9_001, "short of the 4001");
     }
 }

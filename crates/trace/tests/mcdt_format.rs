@@ -1,9 +1,14 @@
 //! File-level `.mcdt` properties: encode→decode is the identity on
 //! recordings, the footer index equals the streamed index, anchors are
-//! randomly addressable, any anchor-bounded segment decodes on its own,
-//! and corruption anywhere is detected.
+//! randomly addressable, any segment from an anchor to an event index
+//! decodes on its own, corruption anywhere is detected, and the written
+//! bytes are pinned.
 
+mod common;
+
+use common::blocks;
 use mcd_power::{OpIndex, TimePs};
+use mcd_sim::snapshot::{fnv1a64, FNV_OFFSET};
 use mcd_sim::{CtrlEvent, DomainId, SignalKind, StepDir, TraceEvent};
 use mcd_trace::{
     catalog_episodes, decode_frame, encode_event_frame, read_anchor_at, read_index, read_mcdt,
@@ -267,36 +272,49 @@ fn every_anchor_bounded_segment_matches_the_full_decode() {
     let file = read_mcdt(&bytes).expect("file decodes");
     let mut straddling = 0;
     for (ri, run) in index.runs.iter().enumerate() {
-        // `None` is the run's start as a lower bound and its end as an
-        // upper bound.
-        let bounds: Vec<Option<usize>> = std::iter::once(None)
+        // `None` is the run's start. The end bound is an event index:
+        // every anchor's position and the run's end, plus positions one
+        // either side of them and of every events-block boundary.
+        let froms: Vec<Option<usize>> = std::iter::once(None)
             .chain((0..run.anchors.len()).map(Some))
             .collect();
-        let at = |b: Option<usize>, default: u64| b.map_or(default, |k| run.anchors[k].event_index);
-        for &from in &bounds {
-            for &to in bounds.iter().skip(1).chain([&None]) {
-                let (first, last) = (at(from, 0), at(to, run.event_count));
-                if first > last || matches!((from, to), (Some(a), Some(b)) if a > b) {
+        let mut tos: Vec<u64> = run
+            .anchors
+            .iter()
+            .map(|a| a.event_index)
+            .chain((0..=run.event_count / EVENTS_PER_BLOCK).map(|b| b * EVENTS_PER_BLOCK))
+            .chain([0, run.event_count])
+            .flat_map(|t| [t.saturating_sub(1), t, t + 1])
+            .collect();
+        tos.sort_unstable();
+        tos.dedup();
+        let at = |b: Option<usize>| b.map_or(0, |k| run.anchors[k].event_index);
+        for &from in &froms {
+            for &to in &tos {
+                let first = at(from);
+                if first > to || to > run.event_count {
                     assert!(read_segment(&bytes, &index, ri, from, to).is_err());
                     continue;
                 }
                 let got = read_segment(&bytes, &index, ri, from, to)
-                    .unwrap_or_else(|e| panic!("run {ri} [{from:?}, {to:?}): {e}"));
-                let want = &file.runs[ri].events[first as usize..last as usize];
-                assert_eq!(got, want, "run {ri} segment [{from:?}, {to:?})");
+                    .unwrap_or_else(|e| panic!("run {ri} [{from:?}, {to}): {e}"));
+                let want = &file.runs[ri].events[first as usize..to as usize];
+                assert_eq!(got, want, "run {ri} segment [{from:?}, {to})");
                 let skipped = run
                     .anchors
                     .iter()
-                    .filter(|a| first < a.event_index && a.event_index < last)
+                    .filter(|a| first < a.event_index && a.event_index < to)
                     .count();
                 straddling += usize::from(skipped > 0);
             }
         }
     }
     assert!(straddling > 0, "some segments skip intermediate anchors");
-    // Bounds that name no anchor or run are refused.
-    assert!(read_segment(&bytes, &index, 0, Some(9), None).is_err());
-    assert!(read_segment(&bytes, &index, 3, None, None).is_err());
+    // Bounds that name no anchor or run, or lie past the run, are refused.
+    let n0 = index.runs[0].event_count;
+    assert!(read_segment(&bytes, &index, 0, Some(9), n0).is_err());
+    assert!(read_segment(&bytes, &index, 3, None, 0).is_err());
+    assert!(read_segment(&bytes, &index, 0, None, n0 + 1).is_err());
 }
 
 #[test]
@@ -328,34 +346,22 @@ fn a_corrupt_segment_block_is_a_typed_error_and_others_are_not_read() {
     // [anchor 1, anchor 2) and outside [anchor 2, end of run).
     let mut corrupt = bytes.clone();
     corrupt[anchors[2].offset as usize - 6] ^= 0x10;
-    let e = read_segment(&corrupt, &index, 0, Some(1), Some(2)).expect_err("corrupt segment");
+    let e = read_segment(&corrupt, &index, 0, Some(1), anchors[2].event_index)
+        .expect_err("corrupt segment");
     assert!(e.to_string().contains("crc mismatch"), "{e}");
-    let far = read_segment(&corrupt, &index, 0, Some(2), None).expect("untouched segment");
+    let far = read_segment(&corrupt, &index, 0, Some(2), index.runs[0].event_count)
+        .expect("untouched segment");
     assert_eq!(far, &runs[0].events[anchors[2].event_index as usize..]);
     assert!(read_mcdt(&corrupt).is_err(), "the full decode sees it");
 }
 
-/// Start offsets of every framed block: `[kind][varint len][payload][crc]`.
+/// Start offsets of every framed block in the body and index.
 fn block_starts(bytes: &[u8]) -> Vec<usize> {
     let end = bytes.len() - FOOTER_LEN;
-    let mut pos = MAGIC.len();
-    let mut starts = Vec::new();
-    while pos < end {
-        starts.push(pos);
-        let (mut len, mut shift, mut i) = (0usize, 0, pos + 1);
-        loop {
-            let b = bytes[i];
-            len |= usize::from(b & 0x7f) << shift;
-            i += 1;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        pos = i + len + 4;
-    }
-    assert_eq!(pos, end, "blocks tile the body and index");
-    starts
+    blocks(bytes, MAGIC.len(), end)
+        .into_iter()
+        .map(|(start, ..)| start)
+        .collect()
 }
 
 #[test]
@@ -402,11 +408,30 @@ fn other_format_versions_are_refused_by_name() {
     for e in [
         read_mcdt(&bytes).expect_err("MCDT1 file"),
         read_index(&bytes).expect_err("MCDT1 index"),
-        read_segment(&bytes, &index, 0, None, None).expect_err("MCDT1 segment"),
+        read_segment(&bytes, &index, 0, None, index.runs[0].event_count)
+            .expect_err("MCDT1 segment"),
     ] {
         assert!(e.to_string().contains("version MCDT1"), "{e}");
     }
     bytes[..6].copy_from_slice(b"XXXX2\n");
     let e = read_index(&bytes).expect_err("not a trace");
     assert!(e.to_string().contains("header magic"), "{e}");
+}
+
+#[test]
+fn the_wire_bytes_are_pinned() {
+    // The goldens pin block offsets and the benchmark digests decoded
+    // events; only this pins the file bytes themselves, so an encoder
+    // and a decoder that drift together (the same wrong CRC on both
+    // sides) cannot pass unseen. A changed constant is a format change.
+    let sample = write_mcdt(&sample_runs());
+    assert_eq!(
+        (sample.len(), fnv1a64(FNV_OFFSET, &sample)),
+        (120_189, 0x4462_8e1c_2179_1f8c)
+    );
+    let segmented = write_mcdt(&segmented_runs());
+    assert_eq!(
+        (segmented.len(), fnv1a64(FNV_OFFSET, &segmented)),
+        (311_891, 0x2f62_fa91_ba71_8cd4)
+    );
 }
