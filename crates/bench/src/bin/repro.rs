@@ -185,7 +185,7 @@ fn bench_report(
     recorder: &RecorderStats,
 ) -> String {
     // Totals come from the RunSet's global counters rather than summing
-    // the per-experiment records: under shared-pool attribution the
+    // the per-experiment records: under shared run-set attribution the
     // memoized baseline computes are charged globally only (whichever
     // experiment happens to trigger them is a scheduling accident), and
     // under --resume the replayed records describe a *previous*
@@ -826,15 +826,16 @@ fn main() -> ExitCode {
         .map(|(n, _)| (n, ids[n]))
         .collect();
 
-    // Experiments submit their runs to one process-wide work-stealing
-    // pool (capped at --jobs workers), so the sweep drives several
-    // experiments concurrently without oversubscribing: an experiment's
-    // long tail run no longer strands the other cores. Per-experiment
-    // numbers come from tag attribution (`experiments::complete`), not
-    // counter deltas, so they stay honest while experiments interleave.
-    // The isolation lives in `isolated`: panic capture, the optional
-    // per-attempt wall-clock budget (the pool's workers inherit the
-    // deadline with the tag), and one retry for transient failures.
+    // Experiments submit their runs to one process-wide run set whose
+    // run permits cap the simulations running at once at --jobs, so the
+    // sweep drives several experiments concurrently without
+    // oversubscribing: an experiment's long tail run does not strand the
+    // other cores. Per-experiment numbers come from tag attribution
+    // (`experiments::complete`), not counter deltas, so they stay honest
+    // while experiments interleave. The isolation lives in `isolated`:
+    // panic capture, the optional per-attempt wall-clock budget (batch
+    // threads inherit the deadline with the tag), and one retry for
+    // transient failures.
     let drivers = jobs.min(pending.len()).max(1);
     let results = par_map(drivers, pending.clone(), |(_, id)| {
         isolated(run_timeout, || {

@@ -65,7 +65,7 @@ mod imp {
                         RunError::Config(format!("bad MCD_FAULTS delay {other:?} for {key}"))
                     })?;
                     let delay = Duration::from_millis(ms);
-                    let deadline = crate::steal::current_deadline();
+                    let deadline = crate::parallel::current_deadline();
                     let left =
                         deadline.map_or(delay, |d| d.at.saturating_duration_since(Instant::now()));
                     std::thread::sleep(delay.min(left));

@@ -21,10 +21,7 @@
 //! assert!(result.instructions > 0);
 //! ```
 
-// `deny` rather than `forbid`: the work-stealing pool (`steal`) needs
-// one documented lifetime erasure and opts in module-locally, exactly
-// as `mcd-serve` does for its syscall shims.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
@@ -35,7 +32,6 @@ pub mod parallel;
 pub mod replay;
 pub mod runner;
 pub mod snapstore;
-pub mod steal;
 pub mod table;
 pub mod trace_analyze;
 

@@ -16,17 +16,17 @@
 //! round-trips, immaterial: the stream does not depend on where the run
 //! paused.
 //!
-//! Only the index, the restored anchor and the segment's own blocks are
-//! read ([`read_segment`]): from the anchor's block up to the events
-//! block holding the close, not to the next anchor. So a replay costs
-//! O(index + segment) in the recording, however long the rest of the
-//! shard or the file is.
+//! Only the index and the segment's own blocks are read, each once
+//! ([`read_segment`]): from the anchor's block, which holds the snapshot
+//! to restore, up to the events block holding the close, not to the
+//! next anchor. So a replay costs O(index + segment) in the recording,
+//! however long the rest of the shard or the file is.
 
 use mcd_sim::snapshot::config_hash;
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
 use mcd_sim::{NullSink, SimConfig, TraceEvent, VecSink};
 use mcd_trace::json;
-use mcd_trace::{read_anchor_at, read_index, read_segment, wire_identical, Episode};
+use mcd_trace::{read_index, read_segment, wire_identical, Episode};
 
 use crate::error::RunError;
 use crate::runner::{build_machine, ControllerActivity, RunConfig, Scheme};
@@ -220,15 +220,15 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
         .min(run_idx.event_count);
     let want = usize::try_from(end_idx - start_idx)
         .map_err(|_| RunError::Config(format!("segment of episode {k} overflows usize")))?;
-    // The recorded side is read up to the events block holding the
-    // close: decoding it first also CRC-checks every block the verdict
-    // depends on before any simulation is spent.
-    let original = read_segment(bytes, &index, ri, start_anchor, end_idx).map_err(codec)?;
+    // The recorded side is read from the start anchor up to the events
+    // block holding the close: decoding it first also CRC-checks every
+    // block the verdict depends on before any simulation is spent.
+    let (anchor, original) =
+        read_segment(bytes, &index, ri, start_anchor, end_idx).map_err(codec)?;
 
     let mut machine = build_machine(&benchmark, scheme, &cfg)?;
-    let anchor_retired = match start_anchor.map(|a| anchors[a]) {
-        Some(aref) if aref.event_index > 0 || aref.retired > 0 => {
-            let anchor = read_anchor_at(bytes, aref.offset).map_err(codec)?;
+    let anchor_retired = match (start_anchor.map(|a| anchors[a]), anchor) {
+        (Some(aref), Some(anchor)) if aref.event_index > 0 || aref.retired > 0 => {
             machine
                 .restore(&anchor.snapshot)
                 .map_err(|e| RunError::Config(format!("recorded anchor failed to restore: {e}")))?;

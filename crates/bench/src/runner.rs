@@ -19,8 +19,8 @@ use mcd_trace::{Anchor, RunRecording};
 use mcd_workloads::{registry, MicroOp, TraceGenerator};
 
 use crate::error::RunError;
+use crate::parallel::{self, Permits};
 use crate::snapstore::SnapStore;
-use crate::steal::{self, StealPool};
 
 /// The DVFS policy attached to the three back-end domains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,7 +276,7 @@ fn record_segment(start: Instant) {
 }
 
 /// Retired instructions between two checks of the installed
-/// [`steal::Deadline`]: a few milliseconds of simulation, so a timed-out
+/// [`parallel::Deadline`]: a few milliseconds of simulation, so a timed-out
 /// run stops soon after its budget runs out. Chunk boundaries only pause
 /// the event loop — no snapshot, anchor or wall sample — and segmenting
 /// a run is bit-identical to running it in one piece.
@@ -295,7 +295,7 @@ fn advance<T>(
 where
     T: Iterator<Item = MicroOp> + SnapshotSource,
 {
-    let Some(deadline) = steal::current_deadline() else {
+    let Some(deadline) = parallel::current_deadline() else {
         return Ok(machine.try_advance_traced(boundary, sink)?);
     };
     loop {
@@ -451,9 +451,9 @@ pub struct ExpStats {
     /// inflate one arbitrary experiment).
     pub stats: RunStats,
     /// Total simulation compute under this tag, µs — the sum over runs,
-    /// which under work stealing is the honest "how much machine time
-    /// did this experiment cost" (driver-observed elapsed time includes
-    /// other experiments' runs interleaving).
+    /// which with experiments running concurrently is the honest "how
+    /// much machine time did this experiment cost" (driver-observed
+    /// elapsed time includes other experiments' runs interleaving).
     pub compute_us: u64,
     /// Per-segment wall samples, µs (see [`run_sharded`]).
     pub wall_samples_us: Vec<u64>,
@@ -740,8 +740,8 @@ struct Ledger {
     per_tag: HashMap<&'static str, ExpStats>,
 }
 
-/// A family of simulation runs sharing a worker pool and a memoized
-/// full-speed-baseline cache.
+/// A family of simulation runs sharing a cap on concurrent simulations
+/// and a memoized full-speed-baseline cache.
 ///
 /// Every figure/table normalizes against the same per-benchmark baseline
 /// run; without memoization `repro all` re-simulates those baselines for
@@ -750,16 +750,15 @@ struct Ledger {
 /// result) and hands out shared copies.
 ///
 /// Each simulation stays single-threaded and deterministic; the set
-/// fans independent runs across one process-wide [`StealPool`] of `jobs`
-/// workers via [`RunSet::par`], returning results in input order, so
-/// reports are byte-identical whatever the worker count. Work stealing
-/// is run-granular: every experiment's runs land in one shared queue, so
-/// a long tail run never strands the other cores, and concurrent
-/// experiments never oversubscribe the machine.
+/// fans independent runs out with [`RunSet::par`], returning results in
+/// input order, so reports are byte-identical whatever the worker count.
+/// The set holds `jobs` run permits and every simulation it executes
+/// holds one, so however many threads submit batches at once, no more
+/// than `jobs` simulations run at a time. The set starts no thread until
+/// a batch has work for one.
 #[derive(Debug)]
 pub struct RunSet {
-    jobs: usize,
-    pool: StealPool,
+    permits: Permits,
     baselines: Mutex<HashMap<String, BaselineSlot>>,
     ledger: Mutex<Ledger>,
     /// When tracing is on, each executed simulation's full recording
@@ -784,12 +783,11 @@ pub struct RunSet {
 static GLOBAL_RUN_SET: OnceLock<RunSet> = OnceLock::new();
 
 impl RunSet {
-    /// Creates a run set with `jobs` worker threads (1 = fully serial),
-    /// tracing disabled.
+    /// Creates a run set that runs up to `jobs` simulations at once
+    /// (1 = fully serial), tracing disabled.
     pub fn new(jobs: usize) -> Self {
         RunSet {
-            jobs: jobs.max(1),
-            pool: StealPool::new(jobs.max(1)),
+            permits: Permits::new(jobs),
             baselines: Mutex::new(HashMap::new()),
             ledger: Mutex::default(),
             tracing: None,
@@ -849,7 +847,7 @@ impl RunSet {
 
     /// The worker count this set fans out to.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.permits.jobs()
     }
 
     /// The ledger, locked for one read or fold.
@@ -870,12 +868,12 @@ impl RunSet {
 
     /// Runs `f` with `tag` installed as this thread's experiment tag:
     /// every simulation `f` starts — directly or through [`RunSet::par`],
-    /// whose workers inherit the submitter's tag per stolen item — is
+    /// whose threads inherit the submitter's tag — is
     /// charged to `tag` in the per-experiment attribution (see
     /// [`RunSet::tag_stats`]). The previous tag is restored even if `f`
     /// panics.
     pub fn with_tag<R>(&self, tag: &'static str, f: impl FnOnce() -> R) -> R {
-        steal::with_tag(Some(tag), f)
+        parallel::with_tag(Some(tag), f)
     }
 
     /// Clears `tag`'s attribution. The drivers call this before each
@@ -909,7 +907,7 @@ impl RunSet {
         ledger.total.add_run(result);
         ledger.compute_us += compute_us;
         ledger.activity.absorb(&result.metrics);
-        if let Some(tag) = steal::current_tag() {
+        if let Some(tag) = parallel::current_tag() {
             let exp = ledger.per_tag.entry(tag).or_default();
             exp.stats.add_run(result);
             exp.compute_us += compute_us;
@@ -917,11 +915,10 @@ impl RunSet {
         }
     }
 
-    /// Executes one simulation, routing it through the work-stealing
-    /// pool when called from outside it — so `jobs` caps *every*
-    /// concurrently executing simulation in the process, including ones
-    /// driven directly (not via [`RunSet::par`]). On a pool worker the
-    /// body runs inline.
+    /// Executes one simulation as a one-item [`RunSet::par`] batch: on the
+    /// caller, once it holds a permit — so `jobs` caps *every*
+    /// concurrently executing simulation, including ones driven directly
+    /// (not via [`RunSet::par`]).
     fn simulate(
         &self,
         label: &str,
@@ -1103,7 +1100,7 @@ impl RunSet {
         {
             let mut ledger = self.ledger();
             ledger.total.baseline_requests += 1;
-            if let Some(tag) = steal::current_tag() {
+            if let Some(tag) = parallel::current_tag() {
                 ledger
                     .per_tag
                     .entry(tag)
@@ -1120,7 +1117,7 @@ impl RunSet {
             };
             let result = cell
                 .get_or_init(|| {
-                    let result = steal::with_tag(None, || {
+                    let result = parallel::with_tag(None, || {
                         let label = Self::run_label(benchmark, Scheme::Baseline, cfg);
                         self.register_spec(&label, benchmark, Scheme::Baseline, cfg);
                         self.simulate(&label, |sink| {
@@ -1139,7 +1136,7 @@ impl RunSet {
                     result
                 })
                 .clone();
-            let still_open = steal::current_deadline().is_none_or(|d| d.check().is_ok());
+            let still_open = parallel::current_deadline().is_none_or(|d| d.check().is_ok());
             match result {
                 Err(e) if e.is_transient() && still_open => continue,
                 done => return done,
@@ -1175,17 +1172,18 @@ impl RunSet {
         self.simulate(label, simulate)
     }
 
-    /// Maps `f` over `items` on the process-wide work-stealing pool;
-    /// results are in input order, so callers are byte-identical
-    /// whatever the worker count or steal order. Called from a pool
-    /// worker (an item fanning out again), the batch runs inline.
+    /// Maps `f` over `items` on up to `jobs` threads, each holding one of
+    /// the set's permits around each item; results are in input order,
+    /// so callers are byte-identical whatever the worker count or
+    /// scheduling. Called from a thread that holds a permit (an item
+    /// fanning out again), the batch runs inline.
     pub fn par<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        crate::parallel::in_order(items, f, |len, run| self.pool.scope(len, run))
+        self.permits.par_map(items, f)
     }
 }
 
@@ -1234,6 +1232,7 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn baseline_run_retires_all_instructions() {
@@ -1353,7 +1352,9 @@ mod tests {
         let budget = Duration::from_millis(100);
         let cancelled = RunError::Timeout { limit_ms: 100 };
         let under_deadline = |rs: &RunSet, cfg: &RunConfig| {
-            steal::with_deadline(steal::Deadline::after(budget), || rs.baseline("gzip", cfg))
+            parallel::with_deadline(parallel::Deadline::after(budget), || {
+                rs.baseline("gzip", cfg)
+            })
         };
         let (started, leading) = std::sync::mpsc::channel();
         let rs = RunSet::new(2).with_event_tap(Arc::new(FirstEvent(Mutex::new(Some(started)))));
@@ -1485,7 +1486,7 @@ mod tests {
         });
         let a = rs.tag_stats("exp-a");
         let b = rs.tag_stats("exp-b");
-        assert_eq!(a.stats.runs, 2, "workers inherit the submitter's tag");
+        assert_eq!(a.stats.runs, 2, "batch threads inherit the submitter's tag");
         assert_eq!(a.stats.baseline_requests, 1);
         assert_eq!(a.stats.instructions, 20_000);
         assert_eq!(b.stats.runs, 1);
@@ -1502,6 +1503,120 @@ mod tests {
             "reset clears attribution"
         );
         assert_eq!(rs.tag_stats("exp-b").stats.runs, 1, "other tags untouched");
+    }
+
+    #[test]
+    fn par_runs_every_index_exactly_once_and_empty_batches_make_no_call() {
+        let rs = RunSet::new(4);
+        let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let out = rs.par((0..hits.len()).collect(), |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
+        }
+        let none: Vec<()> = rs.par(Vec::<u8>::new(), |_| panic!("no items, no calls"));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn par_item_panics_surface_after_the_batch_completes() {
+        let rs = RunSet::new(2);
+        let completed = AtomicU32::new(0);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rs.par((0u32..8).collect(), |i| {
+                if i == 3 {
+                    panic!("item three exploded");
+                }
+                completed.fetch_add(1, Ordering::Relaxed);
+            })
+        }))
+        .expect_err("the panic must propagate");
+        assert_eq!(
+            crate::error::panic_message(&*payload),
+            "item three exploded"
+        );
+        assert_eq!(completed.load(Ordering::Relaxed), 7, "every other item ran");
+        // The panicking item gave its permit back: both still serve a
+        // new batch.
+        assert_eq!(rs.par(vec![1, 2], |i| i * 2), vec![2, 4]);
+        assert!(!parallel::holds_permit(), "the caller holds no permit");
+    }
+
+    #[test]
+    fn a_nested_batch_on_a_one_job_set_runs_inline() {
+        // One permit: a nested batch waiting for a second would deadlock;
+        // running inline on the permit holder must finish instead.
+        let rs = RunSet::new(1);
+        let inner = AtomicU32::new(0);
+        rs.par(vec![()], |_| {
+            assert!(parallel::holds_permit());
+            rs.par((0..5).collect(), |_: u32| {
+                inner.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(inner.load(Ordering::Relaxed), 5);
+        assert!(!parallel::holds_permit(), "the permit is given back");
+    }
+
+    #[test]
+    fn par_items_carry_the_submitters_tag_and_deadline() {
+        let rs = RunSet::new(2);
+        let deadline = parallel::Deadline::after(std::time::Duration::from_secs(60));
+        let seen = Mutex::new(Vec::new());
+        rs.with_tag("exp-a", || {
+            parallel::with_deadline(deadline, || {
+                rs.par((0..4).collect(), |_: u32| {
+                    seen.lock()
+                        .unwrap()
+                        .push((parallel::current_tag(), parallel::current_deadline()));
+                });
+            })
+        });
+        assert_eq!(*seen.lock().unwrap(), vec![(Some("exp-a"), deadline); 4]);
+        assert_eq!(parallel::current_tag(), None, "the tag is restored");
+        assert_eq!(
+            parallel::current_deadline(),
+            None,
+            "the deadline is restored"
+        );
+        // The next batch wears its own submitter's context.
+        rs.par((0..4).collect(), |_: u32| {
+            assert_eq!(
+                (parallel::current_tag(), parallel::current_deadline()),
+                (None, None)
+            );
+        });
+    }
+
+    #[test]
+    fn concurrent_submitters_never_run_more_than_jobs_items_at_once() {
+        let rs = RunSet::new(2);
+        let (ran, in_flight, max_in_flight) =
+            (AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    rs.par((0..10).collect(), |_: u32| {
+                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                        max_in_flight.fetch_max(now, Ordering::SeqCst);
+                        // Widens the overlap; the cap must hold under
+                        // any interleaving.
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 40);
+        let max = max_in_flight.load(Ordering::SeqCst);
+        assert!(
+            (1..=2).contains(&max),
+            "{max} items ran at once on a 2-job set"
+        );
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! `parallel::isolated` runs its work on the caller's thread and enforces
 //! a wall-clock budget with a deadline that every simulation checks
-//! between fixed-length chunks, on whichever pool worker runs it. A run
-//! over budget therefore *stops* — it is not abandoned on a thread of its
-//! own — and returns `RunError::Timeout` within about one chunk of the
-//! deadline, per attempt.
+//! between fixed-length chunks, on whichever thread runs it: the caller
+//! for a single run, a scoped thread of a `RunSet::par` batch otherwise.
+//! A run over budget therefore *stops* — it is not abandoned on a thread
+//! of its own — and returns `RunError::Timeout` within about one chunk of
+//! the deadline, per attempt.
 //!
 //! This suite pins both halves via `/proc/self/task`: the call returns
 //! `Timeout` within the stated bound, and at the moment it returns the
@@ -67,13 +68,21 @@ fn assert_stops_in_time<R: std::fmt::Debug>(
 
 #[test]
 fn a_timed_out_run_stops_and_no_thread_outlives_the_call() {
-    // The run set's pool exists before the count is taken: the isolation
-    // path itself must start nothing, and the simulation it sent to the
-    // pool must have ended by the time the call returns.
-    let rs = RunSet::new(2);
+    // A run set starts no thread until a batch has work for one.
+    let before = thread_count();
+    let rs = RunSet::new(4);
+    assert_eq!(thread_count(), before, "RunSet::new started a thread");
+
+    // A single run stays on the caller; a batch fans out to scoped
+    // threads, all of which must have ended by the time the call returns.
     let long = RunConfig::quick().with_ops(50_000_000);
-    assert_stops_in_time("pooled simulation", BUDGET, || {
+    assert_stops_in_time("single simulation", BUDGET, || {
         rs.run("swim", Scheme::Adaptive, &long)
+    });
+    assert_stops_in_time("two-run batch", BUDGET, || {
+        rs.par(vec!["swim", "gzip"], |b| rs.run(b, Scheme::Adaptive, &long))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
     });
     assert_eq!(rs.stats().runs, 0, "a stopped run is not counted");
 

@@ -24,8 +24,8 @@ use crate::controller::AdaptiveDvfsController;
 /// Shared blackboard of the three domains' latest queue utilizations.
 ///
 /// Shared via `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>`: controllers
-/// must be `Send` so a machine can migrate between worker threads at
-/// run-granularity work-steal and shard boundaries. The three controllers
+/// must be `Send` so a machine can move to whichever thread runs it and
+/// across shard boundaries. The three controllers
 /// of one machine still only ever run on one thread at a time, so the
 /// lock is uncontended.
 #[derive(Debug)]

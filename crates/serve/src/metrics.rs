@@ -252,18 +252,6 @@ impl ServeMetrics {
             activity,
         }
     }
-
-    /// Renders the JSON `/metrics` body (see [`MetricsSnapshot::to_json`]).
-    pub fn to_json(
-        &self,
-        queue_depth: usize,
-        in_flight: usize,
-        cache_entries: usize,
-        draining: bool,
-    ) -> String {
-        self.snapshot(queue_depth, in_flight, cache_entries, draining)
-            .to_json()
-    }
 }
 
 /// One coherent view of the service: all counters loaded once, all
@@ -570,7 +558,7 @@ mod tests {
             },
             &ControllerActivity::default(),
         );
-        let json = json::parse(&m.to_json(7, 1, 9, false)).expect("valid JSON");
+        let json = json::parse(&m.snapshot(7, 1, 9, false).to_json()).expect("valid JSON");
         let uint = |path| json.path(path).and_then(Value::as_u64);
         assert_eq!(uint("service.accepted"), Some(5));
         assert_eq!(uint("service.shed"), Some(2));
@@ -610,7 +598,7 @@ mod tests {
             },
             &a,
         );
-        let json = json::parse(&m.to_json(0, 0, 0, true)).expect("valid JSON");
+        let json = json::parse(&m.snapshot(0, 0, 0, true).to_json()).expect("valid JSON");
         let uint = |path| json.path(path).and_then(Value::as_u64);
         assert_eq!(uint("simulation.runs"), Some(3));
         assert_eq!(uint("simulation.instructions"), Some(40));

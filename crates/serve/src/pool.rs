@@ -13,9 +13,11 @@
 //! where it already lives: the run path wraps each execution in
 //! [`mcd_bench::parallel::isolated`] on the worker that claimed it, so a
 //! run over budget stops on that worker rather than on a thread of its
-//! own. This pool stays separate from `mcd_bench::steal::StealPool` on
-//! purpose: its submit never blocks and refuses work when full (the 503
-//! path), while a steal-pool submitter blocks until its batch is done.
+//! own. This pool stays separate from the run executor
+//! (`mcd_bench::parallel::par_map`, which `RunSet::par` runs under its
+//! run permits) on purpose: its submit never blocks and refuses work
+//! when full (the 503 path), while a `RunSet::par` submitter blocks
+//! until its batch is done.
 //!
 //! Shutdown is a drain, not an abort: [`Pool::close_and_drain`] stops
 //! accepting, lets workers finish everything already queued (every

@@ -419,8 +419,9 @@ struct Bundle {
 /// Runs `id` under `cfg` through [`isolated`]: panic isolation, a
 /// wall-clock budget per attempt, one retry for transient failures. It
 /// runs on the calling pool worker; an attempt over budget stops at its
-/// next simulation chunk, and its private pool is joined before this
-/// returns. Each execution gets a fresh [`RunSet`], so its totals are
+/// next simulation chunk, and every thread its batches started is joined
+/// before this returns. Each execution gets a fresh [`RunSet`], which
+/// starts no thread of its own, so its totals are
 /// this request's alone even when other requests run concurrently; the
 /// record itself is built by [`experiments::complete`], the same rule
 /// `repro` uses. `tap`, when given, observes every simulation event live

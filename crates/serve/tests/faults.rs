@@ -13,14 +13,15 @@ use std::time::Duration;
 use mcd_serve::{ServeConfig, Server};
 use util::{json_at, metric, request, run};
 
-/// Simulation pool workers alive in this process, by thread name. Each
-/// run attempt owns a private run set whose workers are named
-/// `mcd-steal-N`; the server starts no other thread per request.
+/// Simulation fan-out threads alive in this process, by thread name.
+/// Each run attempt owns a private run set whose batches run on scoped
+/// threads named `mcd-run-N`; the server starts no other thread per
+/// request.
 fn simulation_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task readable on Linux")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|name| name.starts_with("mcd-steal"))
+        .filter(|name| name.starts_with("mcd-run"))
         .count()
 }
 

@@ -86,8 +86,8 @@ impl DvfsAction {
 /// at the maximum operating point, which is also the study's baseline.
 ///
 /// `Send` is required so a machine (which owns its controllers) can
-/// migrate between worker threads at run-granularity work-steal and
-/// shard boundaries; controllers are still driven from exactly one
+/// move to whichever thread runs it (a `RunSet::par` batch thread) and
+/// across shard boundaries; controllers are still driven from exactly one
 /// thread at a time.
 pub trait DvfsController: std::fmt::Debug + Send {
     /// Called once per sampling period with the domain's queue sample.

@@ -328,11 +328,12 @@ pub fn read_mcdt(bytes: &[u8]) -> Result<McdtFile, TraceCodecError> {
     Ok(McdtFile { runs, index })
 }
 
-/// Decodes one segment of run `run`: the events `[first, to)`, where
-/// `first` is the position of its anchor `from` (`None`: the run's
-/// start). The walk starts at that anchor's block and stops after the
-/// events block that brings the segment to `to` events, so only the
-/// blocks up to the one holding event `to − 1` are read — with
+/// Decodes one segment of run `run`: its start anchor `from` (`None`:
+/// the run's start, no anchor) and the events `[first, to)`, where
+/// `first` is that anchor's position. The walk starts at the anchor's
+/// block, which it always decodes, even for an empty segment, and stops
+/// after the events block that brings the segment to `to` events, so
+/// only the blocks up to the one holding event `to − 1` are read — with
 /// [`read_index`] a replay costs O(index + segment), not O(file). Every
 /// block read is CRC-checked and fully decoded, and anchors in between
 /// are CRC-checked and skipped. Wherever the walk reaches a later
@@ -344,7 +345,7 @@ pub fn read_segment(
     run: usize,
     from: Option<usize>,
     to: u64,
-) -> Result<Vec<TraceEvent>, TraceCodecError> {
+) -> Result<(Option<Anchor>, Vec<TraceEvent>), TraceCodecError> {
     let index_offset = footer_index_offset(bytes)?;
     let ri = index
         .runs
@@ -372,9 +373,9 @@ pub fn read_segment(
             )))
         }
     };
-    // Where the index places the start anchor, each later one and the
+    // Where the index places each anchor after the start one and the
     // run's end, counted from `first`; `decode_index` keeps them in order.
-    let mut anchors = ri.anchors[from.unwrap_or(0)..]
+    let mut anchors = ri.anchors[from.map_or(0, |k| k + 1)..]
         .iter()
         .map(|a| a.event_index.saturating_sub(first));
     let mut next_anchor = anchors.next();
@@ -383,7 +384,18 @@ pub fn read_segment(
     // Each event takes at least three bytes: the reservation stays
     // bounded by the input whatever the index claims.
     let mut events = Vec::with_capacity((want as usize).min((end - start) / 3));
-    let mut first_block = true;
+    let anchor = match from {
+        Some(k) => match walk.next(&mut events)? {
+            Some(Block::Anchor(payload)) => Some(decode_anchor(payload)?),
+            _ => {
+                return Err(err(format!(
+                    "run {run}: the block at anchor {k}'s offset is not an anchor"
+                )))
+            }
+        },
+        None => None,
+    };
+    let mut first_block = from.is_none();
     while (events.len() as u64) < want {
         let block = walk.next(&mut events)?;
         let held = events.len() as u64;
@@ -395,7 +407,7 @@ pub fn read_segment(
                      the index places there"
                 )))
             }
-            Some(Block::RunStart { .. }) if !(from.is_none() && first_block) => {
+            Some(Block::RunStart { .. }) if !first_block => {
                 return Err(err(format!("run {run}: segment crosses a run start")))
             }
             Some(Block::RunStart { .. }) => {}
@@ -419,7 +431,7 @@ pub fn read_segment(
         first_block = false;
     }
     events.truncate(want as usize);
-    Ok(events)
+    Ok((anchor, events))
 }
 
 #[cfg(test)]
@@ -566,10 +578,19 @@ mod tests {
     fn a_segment_stopping_at_an_anchor_or_the_run_end_checks_the_count() {
         let bytes = recording();
         let index = read_index(&bytes).expect("index decodes");
-        for (from, to) in [(None, 4_999), (None, 5_000), (Some(1), 9_000), (Some(0), 7)] {
-            let got = read_segment(&bytes, &index, 0, from, to).expect("consistent");
+        let cases = [
+            (None, 4_999),
+            (None, 5_000),
+            (Some(1), 9_000),
+            (Some(1), 5_000),
+            (Some(0), 7),
+        ];
+        for (from, to) in cases {
+            let (anchor, got) = read_segment(&bytes, &index, 0, from, to).expect("consistent");
             let first = from.map_or(0, |k| index.runs[0].anchors[k].event_index);
             assert_eq!(got.len() as u64, to - first);
+            // The start anchor comes back decoded, even for no events.
+            assert_eq!(anchor.map(|a| a.event_index), from.map(|_| first));
         }
         // The index places the anchor one event early: the block that
         // holds the segment's last event runs past it.

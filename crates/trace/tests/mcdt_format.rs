@@ -296,10 +296,15 @@ fn every_anchor_bounded_segment_matches_the_full_decode() {
                     assert!(read_segment(&bytes, &index, ri, from, to).is_err());
                     continue;
                 }
-                let got = read_segment(&bytes, &index, ri, from, to)
+                let (anchor, got) = read_segment(&bytes, &index, ri, from, to)
                     .unwrap_or_else(|e| panic!("run {ri} [{from:?}, {to}): {e}"));
                 let want = &file.runs[ri].events[first as usize..to as usize];
                 assert_eq!(got, want, "run {ri} segment [{from:?}, {to})");
+                assert_eq!(
+                    anchor.as_ref(),
+                    from.map(|k| &file.runs[ri].anchors[k]),
+                    "run {ri} segment [{from:?}, {to}) start anchor"
+                );
                 let skipped = run
                     .anchors
                     .iter()
@@ -349,7 +354,7 @@ fn a_corrupt_segment_block_is_a_typed_error_and_others_are_not_read() {
     let e = read_segment(&corrupt, &index, 0, Some(1), anchors[2].event_index)
         .expect_err("corrupt segment");
     assert!(e.to_string().contains("crc mismatch"), "{e}");
-    let far = read_segment(&corrupt, &index, 0, Some(2), index.runs[0].event_count)
+    let (_, far) = read_segment(&corrupt, &index, 0, Some(2), index.runs[0].event_count)
         .expect("untouched segment");
     assert_eq!(far, &runs[0].events[anchors[2].event_index as usize..]);
     assert!(read_mcdt(&corrupt).is_err(), "the full decode sees it");

@@ -239,8 +239,9 @@ fn check(bytes: &[u8], want: &Reads, exact: bool) -> Result<(), TestCaseError> {
         }
     }
     for (ri, from, to, events) in &want.segments {
-        if let Ok(got) = read_segment(bytes, &want.index, *ri, *from, *to) {
+        if let Ok((anchor, got)) = read_segment(bytes, &want.index, *ri, *from, *to) {
             bounded(len, &got, got.capacity())?;
+            prop_assert!(anchor.is_none_or(|a| a.snapshot.capacity() <= len));
             if exact {
                 prop_assert_eq!(&got, events);
             }
@@ -250,8 +251,9 @@ fn check(bytes: &[u8], want: &Reads, exact: bool) -> Result<(), TestCaseError> {
     if let (Ok(index), false) = (&index, exact) {
         for (ri, run) in index.runs.iter().enumerate() {
             for from in std::iter::once(None).chain((0..run.anchors.len()).map(Some)) {
-                if let Ok(got) = read_segment(bytes, index, ri, from, run.event_count) {
+                if let Ok((anchor, got)) = read_segment(bytes, index, ri, from, run.event_count) {
                     bounded(len, &got, got.capacity())?;
+                    prop_assert!(anchor.is_none_or(|a| a.snapshot.capacity() <= len));
                 }
             }
         }
