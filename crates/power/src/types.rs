@@ -170,6 +170,7 @@ impl Frequency {
     /// # Panics
     ///
     /// Panics if the frequency is zero.
+    #[inline]
     pub fn period_ps(self) -> f64 {
         assert!(self.0 > 0, "zero frequency has no period");
         1e12 / self.0 as f64
@@ -201,6 +202,7 @@ impl Voltage {
     /// # Panics
     ///
     /// Panics if `volts` is negative or non-finite.
+    #[inline]
     pub fn from_volts(volts: f64) -> Self {
         assert!(volts.is_finite() && volts >= 0.0, "invalid voltage {volts}");
         Voltage(volts)

@@ -121,6 +121,7 @@ impl VfCurve {
     /// # Panics
     ///
     /// Panics if `index` exceeds [`VfCurve::max_index`].
+    #[inline]
     pub fn point(&self, index: OpIndex) -> OpPoint {
         assert!(
             index.0 <= self.steps,
@@ -145,6 +146,7 @@ impl VfCurve {
     }
 
     /// The maximum operating point.
+    #[inline]
     pub fn max(&self) -> OpPoint {
         self.point(self.max_index())
     }

@@ -7,7 +7,7 @@
 
 mod util;
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use mcd_serve::{ServeConfig, Server};
@@ -25,11 +25,15 @@ fn simulation_threads() -> usize {
         .count()
 }
 
-/// One test function: MCD_FAULTS is process-global, so sequencing within
-/// a single `#[test]` (this file is its own test binary) keeps the
-/// environment deterministic.
+/// MCD_FAULTS and the thread census are process-global, so the tests in
+/// this binary take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// One test function: sequencing within a single `#[test]` keeps the
+/// fault environment deterministic.
 #[test]
 fn injected_timeouts_surface_as_504_and_the_server_recovers() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A 500 ms injected delay against a 100 ms budget: both the attempt
     // and its retry time out, so the leader answers 504.
     std::env::set_var("MCD_FAULTS", "fig8=delay:500");
@@ -109,6 +113,53 @@ fn injected_timeouts_surface_as_504_and_the_server_recovers() {
         failures,
         "no new failures"
     );
+
+    server.shutdown().expect("clean shutdown");
+}
+
+/// No injected fault: a multi-run experiment fanned out over two inner
+/// jobs overruns its budget in the middle of simulating. Its `mcd-run`
+/// threads exist while the request is in flight, and the deadline stops
+/// every one of them before the 504 is sent.
+#[test]
+fn a_budget_overrun_mid_simulation_stops_every_run_thread() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::remove_var("MCD_FAULTS");
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        inner_jobs: 2,
+        run_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+
+    // The fig9 grid at 200 k instructions per run takes seconds, far past
+    // two 300 ms attempts.
+    let client = std::thread::spawn(move || {
+        run(
+            addr,
+            "{\"experiment\": \"fig9\", \"ops\": 200000, \"seed\": 23}",
+        )
+        .expect("answered")
+    });
+    let mut most_seen = 0;
+    while !client.is_finished() {
+        most_seen = most_seen.max(simulation_threads());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let reply = client.join().expect("client survives");
+    assert_eq!(
+        reply.status, 504,
+        "the budget must stop the run: {}",
+        reply.body
+    );
+    assert_eq!(json_at(&reply.body, "error").as_str(), Some("timeout"));
+    assert!(
+        most_seen > 0,
+        "the run fanned out on mcd-run threads while in flight"
+    );
+    assert_eq!(simulation_threads(), 0, "a timed-out run outlived its 504");
 
     server.shutdown().expect("clean shutdown");
 }

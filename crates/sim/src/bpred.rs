@@ -9,6 +9,7 @@ impl Counter2 {
         self.0 >= 2
     }
 
+    #[inline]
     fn update(&mut self, taken: bool) {
         if taken {
             self.0 = (self.0 + 1).min(3);
@@ -100,6 +101,7 @@ impl BranchPredictor {
 
     /// Commits the actual outcome, training all tables. Returns whether
     /// the prior prediction for this lookup was correct.
+    #[inline]
     pub fn update(&mut self, pc: u64, predicted: bool, taken: bool) -> bool {
         let b_idx = self.bimodal_idx(pc);
         let p_idx = self.pattern_idx(pc);

@@ -108,6 +108,7 @@ impl DomainClock {
     /// Read-only variant of [`DomainClock::steady_at`] for `&self`
     /// accessors: uses the cache only if [`DomainClock::tick`] already
     /// filled it.
+    #[inline]
     fn steady_ro(&self, now: TimePs) -> Option<Steady> {
         match self.steady {
             Some(s) if !self.regulator.is_transitioning(now) => Some(s),
@@ -117,6 +118,7 @@ impl DomainClock {
 
     /// The mid-transition memo, if [`DomainClock::tick`] filled it at
     /// `now`.
+    #[inline]
     fn moving_at(&self, now: TimePs) -> Option<Moving> {
         self.moving.filter(|m| m.at == now)
     }
@@ -151,6 +153,7 @@ impl DomainClock {
     }
 
     /// Effective frequency at `now`.
+    #[inline]
     pub fn frequency_at(&self, now: TimePs) -> Frequency {
         if let Some(s) = self.steady_ro(now) {
             return s.freq;
@@ -210,6 +213,7 @@ impl DomainClock {
 
     /// Local cycles that elapse per `duration` at the current frequency
     /// (used to convert latency-in-cycles to absolute times).
+    #[inline]
     pub fn cycles_to_time(&self, cycles: u32, now: TimePs) -> TimePs {
         match self.steady_ro(now) {
             // `period * 1.0 == period`, so the cached one-cycle time is
@@ -263,6 +267,16 @@ impl DomainClock {
         if let Some(cursor) = self.jitter.as_mut() {
             let chunk_idx = r.take_u64()?;
             let pos = r.take_u64()?;
+            // A jittered clock draws exactly one value per edge, so the
+            // edge count fixes the cursor. Checked before seeking, which
+            // generates every chunk up to the position into the stream
+            // all later runs share.
+            if JitterCursor::draws_at(chunk_idx, pos) != Some(self.edges) {
+                return Err(mcd_snap::SnapError::Mismatch(format!(
+                    "jitter cursor at chunk {chunk_idx} pos {pos} does not match {} edges",
+                    self.edges
+                )));
+            }
             cursor.seek(chunk_idx, pos)?;
         }
         self.steady = None;

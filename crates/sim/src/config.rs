@@ -44,6 +44,7 @@ impl DomainId {
     /// # Panics
     ///
     /// Panics if called on [`DomainId::FrontEnd`].
+    #[inline]
     pub fn backend_index(self) -> usize {
         match self {
             DomainId::FrontEnd => panic!("front end is not a back-end domain"),

@@ -50,6 +50,7 @@ pub struct ControllerCtx<'a> {
 
 impl ControllerCtx<'_> {
     /// Relative frequency `f̂ = f/f_max` of the current target point.
+    #[inline]
     pub fn relative_frequency(&self) -> f64 {
         self.curve
             .point(self.current)

@@ -94,6 +94,7 @@ impl FuPool {
     }
 
     /// Claims a free unit until `busy_until`; returns false if none free.
+    #[inline]
     fn try_issue(&mut self, now: TimePs, busy_until: TimePs) -> bool {
         if let Some(u) = self.free_at.iter_mut().find(|t| **t <= now) {
             *u = busy_until;
@@ -103,12 +104,14 @@ impl FuPool {
         }
     }
 
+    #[inline]
     fn busy_count(&self, now: TimePs) -> usize {
         self.free_at.iter().filter(|&&t| t > now).count()
     }
 
     /// The earliest instant after `now` at which a busy unit frees: until
     /// then [`FuPool::busy_count`] keeps its value at `now`.
+    #[inline]
     fn next_free_after(&self, now: TimePs) -> Option<TimePs> {
         self.free_at.iter().copied().filter(|&t| t > now).min()
     }

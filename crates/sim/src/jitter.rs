@@ -113,6 +113,12 @@ impl JitterCursor {
         (self.chunk_idx as u64, self.pos as u64)
     }
 
+    /// How many values a cursor at `(chunk_idx, pos)` has drawn (`None`
+    /// past `u64`).
+    pub(crate) fn draws_at(chunk_idx: u64, pos: u64) -> Option<u64> {
+        chunk_idx.checked_mul(CHUNK as u64)?.checked_add(pos)
+    }
+
     /// Repositions the cursor (chunks regenerate forward on demand, so any
     /// position is reachable from a fresh cursor). `pos == CHUNK` is legal:
     /// it is the transient state right before a refill.

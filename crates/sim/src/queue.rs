@@ -89,6 +89,7 @@ impl IssueQueue {
     /// # Panics
     ///
     /// Panics if the queue is full — callers must check [`IssueQueue::is_full`].
+    #[inline]
     pub fn push(&mut self, entry: IqEntry) {
         assert!(!self.is_full(), "push into full issue queue");
         self.entries.push(entry);
@@ -113,6 +114,7 @@ impl IssueQueue {
     ///
     /// Panics (debug) if the indices are not strictly ascending or out of
     /// range.
+    #[inline]
     pub fn remove_issued(&mut self, sorted_indices: &[usize]) {
         debug_assert!(sorted_indices.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(sorted_indices

@@ -46,6 +46,7 @@ impl FreeList {
     /// # Panics
     ///
     /// Panics if more registers are released than were allocated.
+    #[inline]
     pub fn release(&mut self) {
         assert!(self.free < self.capacity, "free-list overflow");
         self.free += 1;

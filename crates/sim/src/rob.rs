@@ -74,6 +74,7 @@ impl Rob {
     /// # Panics
     ///
     /// Panics if the ROB is full.
+    #[inline]
     pub fn push(&mut self, entry: RobEntry) {
         assert!(!self.is_full(), "push into full ROB");
         self.entries.push_back(entry);
@@ -84,6 +85,7 @@ impl Rob {
     /// # Panics
     ///
     /// Panics if the ROB is empty.
+    #[inline]
     pub fn retire_head(&mut self) -> RobEntry {
         self.entries.pop_front().expect("retire from empty ROB")
     }

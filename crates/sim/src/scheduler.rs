@@ -112,6 +112,7 @@ impl DomainSlot {
 /// Pops the earliest event from the live population under the `(time,
 /// rank)` order: the strict `<` scan keeps the sample on ties and the
 /// lowest-index domain on domain-vs-domain ties.
+#[inline]
 pub fn pick_next(sample_at: TimePs, domains: &[DomainSlot; 4]) -> Event {
     let mut best = Event {
         time: sample_at,

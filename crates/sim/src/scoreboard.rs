@@ -232,6 +232,7 @@ impl AddrMap {
     /// # Panics
     ///
     /// Panics (debug) if `key` is the reserved empty tag `u64::MAX`.
+    #[inline]
     pub fn insert(&mut self, key: u64, value: u64) {
         debug_assert!(key != EMPTY, "u64::MAX is reserved as the empty tag");
         if (self.len + 1) * 8 > (self.mask + 1) * 7 {
@@ -260,6 +261,7 @@ impl AddrMap {
     /// This is the retire-time pruning primitive: a committing store must
     /// not evict a *younger* store that has since overwritten its address
     /// slot, so the caller passes its own sequence number as `value`.
+    #[inline]
     pub fn remove_if(&mut self, key: u64, value: u64) -> bool {
         let mut i = self.home(key);
         loop {

@@ -364,6 +364,40 @@ fn config_hash_mismatch_is_rejected() {
     assert!(err.to_string().contains("config hash"), "got: {err}");
 }
 
+/// A jittered clock serializes `edges: u64, has_jitter: bool, chunk_idx:
+/// u64, pos: u64`, and draws one jitter value per edge, so `chunk_idx ×
+/// 4096 + pos == edges`. A cursor that breaks that is rejected before the
+/// restore seeks to it: seeking generates every jitter chunk up to the
+/// position, so a flipped high bit would cost unbounded time and memory.
+#[test]
+fn a_jitter_cursor_that_disagrees_with_its_edge_count_is_rejected() {
+    let case = controlled_case();
+    let mut bytes = mid_run_snapshot(&case);
+    let u64_at = |b: &[u8], o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
+    // The first (edges, true, chunk_idx, pos) run: the front-end clock's.
+    let at = (0..bytes.len() - 25)
+        .find(|&o| {
+            let edges = u64_at(&bytes, o);
+            edges > 0
+                && bytes[o + 8] == 1
+                && u64_at(&bytes, o + 9)
+                    .checked_mul(4096)
+                    .and_then(|x| x.checked_add(u64_at(&bytes, o + 17)))
+                    == Some(edges)
+        })
+        .expect("a jittered clock's cursor");
+    build(&case)
+        .restore(&bytes)
+        .expect("the snapshot as taken restores");
+    let chunk = at + 9;
+    let raised = u64_at(&bytes, chunk) + 64;
+    bytes[chunk..chunk + 8].copy_from_slice(&raised.to_le_bytes());
+    let err = build(&case)
+        .restore(&bytes)
+        .expect_err("a cursor past the clock's edges must not restore");
+    assert!(err.to_string().contains("jitter cursor"), "got: {err}");
+}
+
 #[test]
 fn truncated_snapshots_are_rejected_at_every_prefix_length() {
     let case = controlled_case();

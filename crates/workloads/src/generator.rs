@@ -184,6 +184,13 @@ impl TraceGenerator {
         for word in &mut words {
             *word = r.take_u64()?;
         }
+        // All zeros is xoshiro's one forbidden state, which a saved
+        // generator can never hold; `from_state` would panic on it.
+        if words == [0; 4] {
+            return Err(mcd_snap::SnapError::Mismatch(
+                "trace generator RNG state is all zeros".to_string(),
+            ));
+        }
         self.rng = StdRng::from_state(words);
         let phase_idx = r.take_usize()?;
         if phase_idx >= self.phases.len() {
@@ -283,7 +290,8 @@ impl TraceGenerator {
         map[pos as usize % map.len()]
     }
 
-    fn gen_addr(&mut self, phase: &PhaseSpec) -> u64 {
+    fn gen_addr(&mut self) -> u64 {
+        let phase = &self.phases[self.phase_idx];
         let u: f64 = self.rng.gen();
         let p_cold = phase.l1d_miss * phase.l2_miss;
         let p_warm = phase.l1d_miss * (1.0 - phase.l2_miss);
@@ -303,7 +311,8 @@ impl TraceGenerator {
         }
     }
 
-    fn gen_branch_outcome(&mut self, phase: &PhaseSpec, pc: u64) -> bool {
+    fn gen_branch_outcome(&mut self, pc: u64) -> bool {
+        let phase = &self.phases[self.phase_idx];
         // A fixed per-site hash decides whether this branch site is
         // "random" (data-dependent) or patterned (loop-like: taken except
         // every Nth execution) — patterned sites are what the predictor
@@ -339,13 +348,12 @@ impl Iterator for TraceGenerator {
         self.total_left -= 1;
         self.ops_left_in_phase = self.ops_left_in_phase.saturating_sub(1);
 
-        let phase = self.phases[self.phase_idx].clone();
         let seq = self.seq;
         self.seq += 1;
 
         // Program counter walks the phase's code footprint cyclically, with
         // a distinct base per phase so footprints do not alias.
-        let pos = self.code_pos % phase.code_footprint;
+        let pos = self.code_pos % self.phases[self.phase_idx].code_footprint;
         let pc = 0x40_0000 + (self.phase_idx as u64) * 0x10_0000 + pos * 4;
         self.code_pos += 1;
 
@@ -376,16 +384,17 @@ impl Iterator for TraceGenerator {
                 op
             }
             OpClass::Load => {
-                let addr = self.gen_addr(&phase);
+                let addr = self.gen_addr();
                 let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, lookback);
                 let op = MicroOp::mem(seq, OpClass::Load, pc, addr, s1);
                 Self::push_producer(&mut self.recent_load, seq);
                 op
             }
             OpClass::Store => {
-                let addr = self.gen_addr(&phase);
+                let addr = self.gen_addr();
                 // Stores consume a value from whichever space is active.
-                let s1 = if phase.mix.fp_fraction() > 0.05 && self.rng.gen::<f64>() < 0.5 {
+                let fp_active = self.phases[self.phase_idx].mix.fp_fraction() > 0.05;
+                let s1 = if fp_active && self.rng.gen::<f64>() < 0.5 {
                     Self::pick_producer(&mut self.rng, &self.recent_fp, lookback)
                 } else {
                     Self::pick_producer(&mut self.rng, &self.recent_int, lookback)
@@ -393,7 +402,7 @@ impl Iterator for TraceGenerator {
                 MicroOp::mem(seq, OpClass::Store, pc, addr, s1)
             }
             OpClass::Branch => {
-                let taken = self.gen_branch_outcome(&phase, pc);
+                let taken = self.gen_branch_outcome(pc);
                 let s1 = Self::pick_producer(&mut self.rng, &self.recent_int, lookback);
                 MicroOp::branch(seq, pc, taken, s1)
             }
@@ -553,6 +562,22 @@ mod tests {
             assert_eq!(restored.next(), g.next(), "op {i} after restore");
         }
         assert_eq!(state_bytes(&restored), state_bytes(&g));
+    }
+
+    /// A blob whose RNG words are all zero (xoshiro's forbidden state) is a
+    /// typed error, not a panic in `StdRng::from_state`.
+    #[test]
+    fn zeroed_rng_state_is_a_typed_error() {
+        let s = spec("gzip");
+        let mut g = TraceGenerator::new(&s, 1_000, 3);
+        g.next();
+        let mut bytes = state_bytes(&g);
+        // Layout: the four RNG state words lead the blob.
+        bytes[..32].fill(0);
+        let err = TraceGenerator::new(&s, 1_000, 3)
+            .load_state(&mut mcd_snap::SnapReader::new(&bytes))
+            .expect_err("a zero RNG state must not restore");
+        assert!(matches!(err, mcd_snap::SnapError::Mismatch(_)), "{err}");
     }
 
     #[test]

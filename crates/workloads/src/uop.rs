@@ -192,6 +192,7 @@ impl MicroOp {
     }
 
     /// Iterator over this op's producer sequence numbers.
+    #[inline]
     pub fn sources(&self) -> impl Iterator<Item = u64> + '_ {
         self.src1.into_iter().chain(self.src2)
     }
