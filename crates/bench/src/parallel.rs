@@ -325,6 +325,10 @@ impl Permits {
     }
 }
 
+/// Attempts [`isolated`] makes at one unit of work whose failures are
+/// transient: the first, plus one retry.
+pub const ATTEMPTS: u32 = 2;
+
 /// Runs `f` on the calling thread as one isolated unit of work — an
 /// experiment in a `repro` sweep, a request in `mcd-serve`.
 ///
@@ -336,9 +340,10 @@ impl Permits {
 ///   clock means none). Every simulation the attempt starts, here or on
 ///   a thread its batches start, stops at its next chunk boundary past the deadline
 ///   and returns [`RunError::Timeout`]; nothing is left running.
-/// * **Retry** — a transient first failure ([`RunError::is_transient`]:
-///   panics and timeouts) is retried exactly once, with a fresh
-///   deadline; typed errors are deterministic and fail immediately.
+/// * **Retry** — a transient failure ([`RunError::is_transient`]:
+///   panics and timeouts) is retried with a fresh deadline, up to
+///   [`ATTEMPTS`] attempts in all; typed errors are deterministic and
+///   fail immediately.
 pub fn isolated<R>(
     budget: Option<Duration>,
     f: impl Fn() -> Result<R, RunError>,
@@ -349,9 +354,12 @@ pub fn isolated<R>(
                 .unwrap_or_else(|p| Err(RunError::Panicked(panic_message(&*p))))
         })
     };
-    match once() {
-        Err(e) if e.is_transient() => once(),
-        done => done,
+    let mut attempt = 1;
+    loop {
+        match once() {
+            Err(e) if e.is_transient() && attempt < ATTEMPTS => attempt += 1,
+            done => return done,
+        }
     }
 }
 

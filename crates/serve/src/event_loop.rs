@@ -39,7 +39,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +46,7 @@ use crate::http::{
     chunk, chunk_end, parse_request, stream_head, stream_head_mcdt, Parsed, Request, Response,
     MAX_BODY, MAX_HEADER_BYTES,
 };
-use crate::metrics::{Endpoint, Outcome};
+use crate::metrics::{Endpoint, Outcome, Series};
 use crate::router::{App, Job};
 use crate::stream::{LoopMsg, LoopSender};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -154,10 +153,7 @@ impl EventLoop {
                 Err(_) => break, // epoll itself failing is unrecoverable
             };
             let began = Instant::now();
-            self.app
-                .metrics
-                .loop_ready
-                .store(n as u64, Ordering::Relaxed);
+            self.app.metrics.set(Series::LoopReady, n as u64);
             for ev in events.iter().take(n) {
                 let (token, bits) = (ev.token(), ev.readiness());
                 match token {
@@ -168,7 +164,7 @@ impl EventLoop {
             }
             self.expire_deadlines();
             let fds = self.conns.len() as u64 + 1 + u64::from(self.listener.is_some());
-            self.app.metrics.loop_fds.store(fds, Ordering::Relaxed);
+            self.app.metrics.set(Series::LoopFds, fds);
             self.app
                 .metrics
                 .record_loop_iteration(began.elapsed().as_micros().min(u64::MAX as u128) as u64);
@@ -210,7 +206,7 @@ impl EventLoop {
             if self.shutting_down {
                 continue; // racing the drain: drop unanswered
             }
-            self.app.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+            self.app.metrics.add(Series::Accepted, 1);
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
@@ -235,7 +231,7 @@ impl EventLoop {
             if overloaded {
                 // Event-loop backpressure: over the connection bound the
                 // accept converts straight into the shed path.
-                self.app.metrics.shed.fetch_add(1, Ordering::Relaxed);
+                self.app.metrics.add(Series::Shed, 1);
                 self.app
                     .metrics
                     .record_latency(Endpoint::Other, Outcome::Shed, 0);
@@ -283,10 +279,7 @@ impl EventLoop {
                     } else {
                         stream_head()
                     });
-                    self.app
-                        .metrics
-                        .streams_opened
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.app.metrics.add(Series::StreamsOpened, 1);
                     self.clear_deadline(token);
                     self.try_write(token);
                 }
@@ -443,10 +436,7 @@ impl EventLoop {
                         conn.inbuf.drain(..consumed);
                         conn.requests_served += 1;
                         if conn.requests_served > 1 {
-                            self.app
-                                .metrics
-                                .keepalive_reuses
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.app.metrics.add(Series::KeepaliveReuses, 1);
                         }
                         conn.wants_close = request.wants_close;
                         request
@@ -492,7 +482,7 @@ impl EventLoop {
                     // Bounded queue full (or pool draining): the shed
                     // path. 503 + Retry-After, Connection: close, and
                     // the input keeps draining until the bytes are out.
-                    self.app.metrics.shed.fetch_add(1, Ordering::Relaxed);
+                    self.app.metrics.add(Series::Shed, 1);
                     self.app
                         .metrics
                         .record_latency(Endpoint::Run, Outcome::Shed, 0);
@@ -508,7 +498,7 @@ impl EventLoop {
         if request.method == "GET" && request.path.starts_with("/watch/") {
             let started = Instant::now();
             let key = request.path["/watch/".len()..].to_string();
-            self.app.metrics.requests.fetch_add(1, Ordering::Relaxed);
+            self.app.metrics.add(Series::Requests, 1);
             if self.shutting_down || !self.app.watch(&key, token, request.accepts_mcdt) {
                 let resp = Response::error(
                     404,
@@ -531,10 +521,7 @@ impl EventLoop {
                     stream_head()
                 });
             }
-            self.app
-                .metrics
-                .streams_opened
-                .fetch_add(1, Ordering::Relaxed);
+            self.app.metrics.add(Series::StreamsOpened, 1);
             self.app.metrics.record_latency(
                 Endpoint::Other,
                 Outcome::Ok,
@@ -691,10 +678,7 @@ impl EventLoop {
                     _ => continue, // stale entry for a re-armed timer
                 }
             };
-            self.app
-                .metrics
-                .deadline_closes
-                .fetch_add(1, Ordering::Relaxed);
+            self.app.metrics.add(Series::DeadlineCloses, 1);
             match kind {
                 DeadlineKind::Idle | DeadlineKind::Write => self.teardown(token),
                 DeadlineKind::Read => {

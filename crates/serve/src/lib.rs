@@ -81,9 +81,10 @@ pub struct ServeConfig {
     /// Inner simulation parallelism per run ([`RunConfig`] fan-out).
     pub inner_jobs: usize,
     /// Wall-clock budget per run attempt: an attempt over budget stops
-    /// at its next simulation chunk and answers 504. A timed-out attempt
-    /// is retried once, so the worst case is twice this. A budget too
-    /// large for the clock means no budget.
+    /// at its next simulation chunk and answers 504. A timed-out run
+    /// makes up to [`mcd_bench::parallel::ATTEMPTS`] attempts, so the
+    /// worst case is that many times this. A budget too large for the
+    /// clock means no budget.
     pub run_timeout: Duration,
     /// Base run configuration; `/run` bodies override its swept knobs.
     pub base_cfg: RunConfig,

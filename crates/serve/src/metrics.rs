@@ -1,17 +1,25 @@
 //! Service counters and latency distributions surfaced by `GET /metrics`.
 //!
-//! Three layers in one response: the *service* counters (accepts, sheds,
+//! Three layers in one response: the *service* series (accepts, sheds,
 //! coalesced followers, cache hits, executions, failures — everything
-//! the load-shedding and coalescing machinery decides), the per-endpoint
-//! per-outcome *latency histograms*, and the *simulation* counters from
-//! the observability layer (DESIGN.md §6): runs (memoized baseline
-//! computes included), instructions, baseline requests, and the
-//! per-domain controller-activity aggregate including mean reaction
-//! time, folded in from every run set the service has executed.
+//! the load-shedding and coalescing machinery decides — plus streaming
+//! and event-loop figures), the per-endpoint per-outcome *latency
+//! histograms*, and the *simulation* counters from the observability
+//! layer (DESIGN.md §6): runs (memoized baseline computes included),
+//! instructions, baseline requests, and the per-domain
+//! controller-activity aggregate including mean reaction time, folded
+//! in from every run set the service has executed.
 //!
-//! Rendering goes through one [`MetricsSnapshot`]: every counter is
+//! Every service and simulation series is declared once, in the
+//! `series!` list below: its JSON section and key, its Prometheus name
+//! and type, and its one help text, which is also its documentation.
+//! That list generates [`Series`] and the table both renderers walk, so
+//! a series cannot appear in one view and not the other, or mean two
+//! things.
+//!
+//! Rendering goes through one [`MetricsSnapshot`]: every series is
 //! loaded exactly once per request, and both the JSON and the Prometheus
-//! renderer read from that same struct, so the two views of a single
+//! renderer read from that same value, so the two views of a single
 //! scrape always agree with each other. The snapshot itself is *not* a
 //! consistent cut — each atomic is loaded `Relaxed` and independently,
 //! so a request landing mid-snapshot can make e.g. `requests` and
@@ -20,6 +28,7 @@
 //! harmless for monotonic counters scraped at second granularity, which
 //! is why the service tolerates it instead of paying for a global lock.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -27,7 +36,8 @@ use mcd_bench::runner::{ControllerActivity, RunStats};
 use mcd_telemetry::prometheus::PromText;
 use mcd_telemetry::{Histogram, HistogramSnapshot};
 
-/// Request endpoints tracked by the latency histograms.
+/// Request endpoints tracked by the latency histograms. Discriminants
+/// index the histogram grid, so they follow [`Endpoint::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `POST /run`.
@@ -40,7 +50,8 @@ pub enum Endpoint {
     Healthz,
     /// `POST /shutdown`.
     Shutdown,
-    /// Anything else (404s, wrong methods, shed connections).
+    /// Anything else: `GET /watch/<fp>` stream opens, 404s, wrong
+    /// methods and shed connections.
     Other,
 }
 
@@ -81,7 +92,8 @@ impl Endpoint {
     }
 }
 
-/// How a tracked request concluded.
+/// How a tracked request concluded. Discriminants index the histogram
+/// grid, so they follow [`Outcome::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// 2xx on a non-`/run` endpoint.
@@ -92,7 +104,8 @@ pub enum Outcome {
     Coalesced,
     /// `/run` executed as the flight leader.
     Miss,
-    /// Connection answered 503 because the accept queue was full.
+    /// Answered 503: the accept queue was full or the connection bound
+    /// reached.
     Shed,
     /// Any 4xx/5xx conclusion.
     Error,
@@ -122,61 +135,150 @@ impl Outcome {
     }
 }
 
-/// All service counters. Every field is monotonic except the gauges
-/// passed into [`ServeMetrics::snapshot`] at render time.
+/// How a series is typed on the page.
+#[derive(PartialEq, Eq)]
+enum Kind {
+    /// Monotonic: a Prometheus `counter`.
+    Counter,
+    /// A level at one instant: a Prometheus `gauge`.
+    Gauge,
+    /// A yes/no gauge: `true`/`false` in JSON, 1/0 in Prometheus.
+    Flag,
+}
+
+/// One row of `SERIES`: where a series renders and what it means.
+struct Spec {
+    /// JSON section the key sits in.
+    section: &'static str,
+    /// JSON key within the section.
+    key: &'static str,
+    /// Prometheus family name.
+    name: &'static str,
+    /// The series' one meaning: Prometheus `# HELP` text and the
+    /// [`Series`] variant's documentation.
+    help: &'static str,
+    kind: Kind,
+}
+
+/// Declares [`Series`] and `SERIES` from one list, so a variant and its
+/// table row cannot drift apart: `SERIES[s as usize]` is `s`'s row.
+macro_rules! series {
+    ($($variant:ident: $kind:ident, $section:literal, $key:literal, $name:literal, $help:literal;)*) => {
+        /// A service or simulation series reported by `/metrics`; each
+        /// variant's documentation is its help text.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Series {
+            $(#[doc = $help] $variant,)*
+        }
+
+        impl Series {
+            /// Every series, in declaration order.
+            pub const ALL: [Series; [$(Series::$variant),*].len()] = [$(Series::$variant),*];
+        }
+
+        /// Every series' row, in [`Series::ALL`] order.
+        const SERIES: [Spec; Series::ALL.len()] = [$(Spec {
+            section: $section,
+            key: $key,
+            name: $name,
+            help: $help,
+            kind: Kind::$kind,
+        },)*];
+    };
+}
+
+// Owned series first: the service adds to or stores these through
+// `ServeMetrics::add` and `ServeMetrics::set`. From `QueueDepth` on,
+// series are read from the pool, cache and broadcast registry at render
+// time and passed to `ServeMetrics::snapshot`. Within a JSON section,
+// keys render in list order.
+series! {
+    Accepted: Counter, "service", "accepted", "mcd_serve_accepted_total",
+        "Connections accepted off the listener.";
+    Shed: Counter, "service", "shed", "mcd_serve_shed_total",
+        "Requests and connections answered 503: the accept queue was full or the connection bound reached.";
+    Requests: Counter, "service", "requests", "mcd_serve_requests_total",
+        "Requests successfully parsed.";
+    RunRequests: Counter, "service", "run_requests", "mcd_serve_run_requests_total",
+        "POST /run requests.";
+    CacheHits: Counter, "service", "cache_hits", "mcd_serve_cache_hits_total",
+        "Run requests answered from the result cache.";
+    Coalesced: Counter, "service", "coalesced", "mcd_serve_coalesced_total",
+        "Run requests answered by another request's in-flight run.";
+    RunsExecuted: Counter, "service", "runs_executed", "mcd_serve_runs_executed_total",
+        "Leader executions; a fingerprint executes again after a failed run or a cache eviction.";
+    RunFailures: Counter, "service", "run_failures", "mcd_serve_run_failures_total",
+        "Leader executions that returned a typed error.";
+    StreamsOpened: Counter, "streaming", "streams_opened", "mcd_serve_streams_opened_total",
+        "Chunked trace streams opened (/run?stream=1 and /watch).";
+    KeepaliveReuses: Counter, "event_loop", "keepalive_reuses", "mcd_serve_keepalive_reuses_total",
+        "Requests served on an already-used keep-alive connection.";
+    DeadlineCloses: Counter, "event_loop", "deadline_closes", "mcd_serve_deadline_closes_total",
+        "Connections closed by a read/idle/write deadline.";
+    LoopFds: Gauge, "event_loop", "loop_fds", "mcd_serve_loop_fds",
+        "File descriptors registered with the event loop.";
+    LoopReady: Gauge, "event_loop", "loop_ready", "mcd_serve_loop_ready",
+        "Readiness events delivered by the last epoll_wait.";
+    SimRuns: Counter, "simulation", "runs", "mcd_sim_runs_total",
+        "Simulations executed.";
+    SimInstructions: Counter, "simulation", "instructions", "mcd_sim_instructions_total",
+        "Instructions simulated.";
+    SimBaselineRequests: Counter, "simulation", "baseline_requests", "mcd_sim_baseline_requests_total",
+        "Baseline lookups issued against the memo cache (hits and computes).";
+    QueueDepth: Gauge, "service", "queue_depth", "mcd_serve_queue_depth",
+        "Worker-pool queue depth.";
+    InFlight: Gauge, "service", "in_flight", "mcd_serve_in_flight",
+        "Requests executing right now.";
+    CacheEntries: Gauge, "service", "cache_entries", "mcd_serve_cache_entries",
+        "Result-cache entries.";
+    Draining: Flag, "service", "draining", "mcd_serve_draining",
+        "1 once graceful shutdown has begun, else 0.";
+    StreamEvents: Counter, "streaming", "stream_events", "mcd_serve_stream_events_total",
+        "Event lines fanned out to stream subscribers.";
+    StreamFrames: Counter, "streaming", "stream_frames", "mcd_serve_stream_frames_total",
+        "Binary .mcdt frames among the fanned-out deliveries.";
+    StreamSubscribers: Gauge, "streaming", "stream_subscribers", "mcd_serve_stream_subscribers",
+        "Live stream subscriptions across all fan-out rooms.";
+    StreamRooms: Gauge, "streaming", "stream_rooms", "mcd_serve_stream_rooms",
+        "Fan-out rooms currently registered.";
+}
+
+/// Number of owned series: those before the first render-time reading.
+const OWNED: usize = Series::QueueDepth as usize;
+
+/// The service's live counters and histograms.
 #[derive(Default)]
 pub struct ServeMetrics {
-    /// Connections accepted off the listener.
-    pub accepted: AtomicU64,
-    /// Connections answered 503 because the accept queue was full.
-    pub shed: AtomicU64,
-    /// Requests successfully parsed.
-    pub requests: AtomicU64,
-    /// `POST /run` requests.
-    pub run_requests: AtomicU64,
-    /// Run requests answered from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Run requests answered by another request's in-flight run.
-    pub coalesced: AtomicU64,
-    /// Leader executions — exactly one per distinct fingerprint.
-    pub runs_executed: AtomicU64,
-    /// Leader executions that returned a typed error.
-    pub run_failures: AtomicU64,
-    /// Requests served on an already-used keep-alive connection
-    /// (second and later requests per connection).
-    pub keepalive_reuses: AtomicU64,
-    /// Connections closed by a read/idle/write deadline.
-    pub deadline_closes: AtomicU64,
-    /// Chunked trace streams opened (`/run?stream=1` + `/watch`).
-    pub streams_opened: AtomicU64,
-    /// Event lines fanned out to stream subscribers (mirrored from the
-    /// broadcast registry at render time).
-    pub stream_events: AtomicU64,
-    /// Binary `.mcdt` frames among those deliveries (mirrored counter).
-    pub stream_frames: AtomicU64,
-    /// Live stream subscriptions right now (mirrored gauge).
-    pub stream_subscribers: AtomicU64,
-    /// Fan-out rooms registered right now (mirrored gauge).
-    pub stream_rooms: AtomicU64,
-    /// File descriptors registered with the event loop (gauge, stored
-    /// by the loop each iteration).
-    pub loop_fds: AtomicU64,
-    /// Readiness events delivered by the last `epoll_wait` (gauge).
-    pub loop_ready: AtomicU64,
+    /// Owned series, indexed by [`Series`] discriminant.
+    owned: [AtomicU64; OWNED],
     /// Event-loop iteration wall time, microseconds.
     loop_iter_us: Histogram,
     /// Request latency in microseconds, by endpoint × outcome.
     latency: [[Histogram; Outcome::ALL.len()]; Endpoint::ALL.len()],
-    /// Simulation-side totals, merged from per-request run sets.
-    sim: Mutex<(RunStats, ControllerActivity)>,
+    /// Controller activity merged from every executed run set.
+    activity: Mutex<ControllerActivity>,
 }
 
 impl ServeMetrics {
+    /// Adds `n` to an owned series. Panics on a render-time series.
+    pub fn add(&self, series: Series, n: u64) {
+        self.owned[series as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Stores an owned gauge. Panics on a render-time series.
+    pub fn set(&self, series: Series, value: u64) {
+        self.owned[series as usize].store(value, Ordering::Relaxed);
+    }
+
     /// Folds one executed request's run-set counters into the totals.
     pub fn absorb_run(&self, stats: RunStats, activity: &ControllerActivity) {
-        let mut sim = self.sim.lock().expect("sim totals poisoned");
-        sim.0.merge(&stats);
-        sim.1.merge(activity);
+        self.add(Series::SimRuns, stats.runs);
+        self.add(Series::SimInstructions, stats.instructions);
+        self.add(Series::SimBaselineRequests, stats.baseline_requests);
+        self.activity
+            .lock()
+            .expect("controller activity poisoned")
+            .merge(activity);
     }
 
     /// Records one event-loop iteration's wall time (called by the loop
@@ -188,168 +290,75 @@ impl ServeMetrics {
     /// Records one request's wall time into its endpoint × outcome
     /// latency histogram.
     pub fn record_latency(&self, endpoint: Endpoint, outcome: Outcome, micros: u64) {
-        let ei = Endpoint::ALL
-            .iter()
-            .position(|&e| e == endpoint)
-            .expect("exhaustive");
-        let oi = Outcome::ALL
-            .iter()
-            .position(|&o| o == outcome)
-            .expect("exhaustive");
-        self.latency[ei][oi].record(micros);
+        self.latency[endpoint as usize][outcome as usize].record(micros);
     }
 
-    /// Captures one coherent view of every counter and histogram.
-    /// `queue_depth` and `in_flight` are read from the worker pool at
-    /// render time; `cache_entries` from the result cache; `draining`
-    /// flips once shutdown begins. See the module docs for the staleness
-    /// tolerance this snapshot provides (and what it does not).
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        in_flight: usize,
-        cache_entries: usize,
-        draining: bool,
-    ) -> MetricsSnapshot {
-        let (sim, activity) = *self.sim.lock().expect("sim totals poisoned");
+    /// Captures one view of every series and histogram. `readings`
+    /// supplies the render-time series — pool depth and in-flight count,
+    /// cache entries, draining as 0/1, and the broadcast registry's
+    /// stream figures; one left out reads 0. See the module docs for the
+    /// staleness tolerance this snapshot provides (and what it does not).
+    pub fn snapshot(&self, readings: &[(Series, u64)]) -> MetricsSnapshot {
+        let mut values = [0; SERIES.len()];
+        for (value, owned) in values.iter_mut().zip(&self.owned) {
+            *value = owned.load(Ordering::Relaxed);
+        }
+        for &(series, value) in readings {
+            debug_assert!(
+                series as usize >= OWNED,
+                "{series:?} is not read at render time"
+            );
+            values[series as usize] = value;
+        }
         MetricsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            run_requests: self.run_requests.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            runs_executed: self.runs_executed.load(Ordering::Relaxed),
-            run_failures: self.run_failures.load(Ordering::Relaxed),
-            keepalive_reuses: self.keepalive_reuses.load(Ordering::Relaxed),
-            deadline_closes: self.deadline_closes.load(Ordering::Relaxed),
-            streams_opened: self.streams_opened.load(Ordering::Relaxed),
-            stream_events: self.stream_events.load(Ordering::Relaxed),
-            stream_frames: self.stream_frames.load(Ordering::Relaxed),
-            stream_subscribers: self.stream_subscribers.load(Ordering::Relaxed),
-            stream_rooms: self.stream_rooms.load(Ordering::Relaxed),
-            loop_fds: self.loop_fds.load(Ordering::Relaxed),
-            loop_ready: self.loop_ready.load(Ordering::Relaxed),
+            values,
             loop_iter: self.loop_iter_us.snapshot(),
-            queue_depth,
-            in_flight,
-            cache_entries,
-            draining,
-            latency: self
-                .latency
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(Histogram::snapshot)
-                        .collect::<Vec<_>>()
-                        .try_into()
-                        .expect("row length fixed")
-                })
-                .collect::<Vec<_>>()
-                .try_into()
-                .expect("grid length fixed"),
-            sim,
-            activity,
+            latency: std::array::from_fn(|e| {
+                std::array::from_fn(|o| self.latency[e][o].snapshot())
+            }),
+            activity: *self.activity.lock().expect("controller activity poisoned"),
         }
     }
 }
 
-/// One coherent view of the service: all counters loaded once, all
-/// histograms snapshotted once. Both renderers read from here.
+/// One view of the service: every series loaded once, every histogram
+/// snapshotted once. Both renderers read from here.
 pub struct MetricsSnapshot {
-    /// Connections accepted off the listener.
-    pub accepted: u64,
-    /// Connections answered 503 because the accept queue was full.
-    pub shed: u64,
-    /// Requests successfully parsed.
-    pub requests: u64,
-    /// `POST /run` requests.
-    pub run_requests: u64,
-    /// Run requests answered from the result cache.
-    pub cache_hits: u64,
-    /// Run requests answered by another request's in-flight run.
-    pub coalesced: u64,
-    /// Leader executions.
-    pub runs_executed: u64,
-    /// Leader executions that returned a typed error.
-    pub run_failures: u64,
-    /// Requests served on an already-used keep-alive connection.
-    pub keepalive_reuses: u64,
-    /// Connections closed by a read/idle/write deadline.
-    pub deadline_closes: u64,
-    /// Chunked trace streams opened.
-    pub streams_opened: u64,
-    /// Event lines fanned out to stream subscribers.
-    pub stream_events: u64,
-    /// Binary `.mcdt` frames among those deliveries.
-    pub stream_frames: u64,
-    /// Live stream subscriptions at snapshot time.
-    pub stream_subscribers: u64,
-    /// Fan-out rooms registered at snapshot time.
-    pub stream_rooms: u64,
-    /// File descriptors registered with the event loop.
-    pub loop_fds: u64,
-    /// Readiness events delivered by the last `epoll_wait`.
-    pub loop_ready: u64,
+    /// Series values, indexed by [`Series`] discriminant.
+    values: [u64; SERIES.len()],
     loop_iter: HistogramSnapshot,
-    /// Worker-pool queue depth at snapshot time.
-    pub queue_depth: usize,
-    /// Requests executing at snapshot time.
-    pub in_flight: usize,
-    /// Result-cache entries at snapshot time.
-    pub cache_entries: usize,
-    /// Whether graceful shutdown has begun.
-    pub draining: bool,
     latency: [[HistogramSnapshot; Outcome::ALL.len()]; Endpoint::ALL.len()],
-    sim: RunStats,
     activity: ControllerActivity,
 }
 
 impl MetricsSnapshot {
-    /// Renders the JSON view. The PR 4 sections (`service`,
-    /// `simulation`, `controller_activity`) keep their exact keys;
-    /// the event-loop rebuild adds `streaming` and `event_loop`
-    /// sections alongside them. The latency histograms are
-    /// Prometheus-only; JSON consumers get the counters.
+    /// Renders the JSON view: one object per series section, in order of
+    /// first appearance in the series list, then `controller_activity`.
+    /// The latency histograms are Prometheus-only; JSON consumers get
+    /// the counters.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"service\": {{\"accepted\": {}, \"shed\": {}, \"requests\": {}, \
-             \"run_requests\": {}, \"cache_hits\": {}, \"coalesced\": {}, \
-             \"runs_executed\": {}, \"run_failures\": {}, \"queue_depth\": {}, \
-             \"in_flight\": {}, \"cache_entries\": {}, \
-             \"draining\": {}}},\n  \
-             \"streaming\": {{\"streams_opened\": {}, \"stream_events\": {}, \
-             \"stream_frames\": {}, \"stream_subscribers\": {}, \"stream_rooms\": {}}},\n  \
-             \"event_loop\": {{\"keepalive_reuses\": {}, \"deadline_closes\": {}, \
-             \"loop_fds\": {}, \"loop_ready\": {}}},\n  \
-             \"simulation\": {{\"runs\": {}, \"instructions\": {}, \"baseline_requests\": {}}},\n  \
-             \"controller_activity\": {}\n}}\n",
-            self.accepted,
-            self.shed,
-            self.requests,
-            self.run_requests,
-            self.cache_hits,
-            self.coalesced,
-            self.runs_executed,
-            self.run_failures,
-            self.queue_depth,
-            self.in_flight,
-            self.cache_entries,
-            self.draining,
-            self.streams_opened,
-            self.stream_events,
-            self.stream_frames,
-            self.stream_subscribers,
-            self.stream_rooms,
-            self.keepalive_reuses,
-            self.deadline_closes,
-            self.loop_fds,
-            self.loop_ready,
-            self.sim.runs,
-            self.sim.instructions,
-            self.sim.baseline_requests,
-            self.activity.to_json(),
-        )
+        let mut out = String::from("{\n");
+        for (i, row) in SERIES.iter().enumerate() {
+            if SERIES[..i].iter().any(|r| r.section == row.section) {
+                continue; // section already written
+            }
+            let fields: Vec<String> = SERIES
+                .iter()
+                .zip(self.values)
+                .filter(|(r, _)| r.section == row.section)
+                .map(|(r, v)| match r.kind {
+                    Kind::Flag => format!("\"{}\": {}", r.key, v != 0),
+                    Kind::Counter | Kind::Gauge => format!("\"{}\": {v}", r.key),
+                })
+                .collect();
+            let _ = writeln!(out, "  \"{}\": {{{}}},", row.section, fields.join(", "));
+        }
+        let _ = write!(
+            out,
+            "  \"controller_activity\": {}\n}}\n",
+            self.activity.to_json()
+        );
+        out
     }
 
     /// Renders the Prometheus text-exposition view of the same snapshot.
@@ -358,96 +367,13 @@ impl MetricsSnapshot {
     /// keep the page proportional to observed traffic.
     pub fn to_prometheus(&self) -> String {
         let mut page = PromText::new();
-        page.counter(
-            "mcd_serve_accepted_total",
-            "Connections accepted off the listener.",
-        )
-        .sample(&[], self.accepted);
-        page.counter(
-            "mcd_serve_shed_total",
-            "Connections answered 503 because the accept queue was full.",
-        )
-        .sample(&[], self.shed);
-        page.counter("mcd_serve_requests_total", "Requests successfully parsed.")
-            .sample(&[], self.requests);
-        page.counter("mcd_serve_run_requests_total", "POST /run requests.")
-            .sample(&[], self.run_requests);
-        page.counter(
-            "mcd_serve_cache_hits_total",
-            "Run requests answered from the result cache.",
-        )
-        .sample(&[], self.cache_hits);
-        page.counter(
-            "mcd_serve_coalesced_total",
-            "Run requests answered by another request's in-flight run.",
-        )
-        .sample(&[], self.coalesced);
-        page.counter(
-            "mcd_serve_runs_executed_total",
-            "Leader executions, one per distinct fingerprint.",
-        )
-        .sample(&[], self.runs_executed);
-        page.counter(
-            "mcd_serve_run_failures_total",
-            "Leader executions that returned a typed error.",
-        )
-        .sample(&[], self.run_failures);
-        page.gauge("mcd_serve_queue_depth", "Worker-pool queue depth.")
-            .sample(&[], self.queue_depth as u64);
-        page.gauge("mcd_serve_in_flight", "Requests executing right now.")
-            .sample(&[], self.in_flight as u64);
-        page.gauge("mcd_serve_cache_entries", "Result-cache entries.")
-            .sample(&[], self.cache_entries as u64);
-        page.gauge(
-            "mcd_serve_draining",
-            "1 once graceful shutdown has begun, else 0.",
-        )
-        .sample(&[], u64::from(self.draining));
-        page.counter(
-            "mcd_serve_keepalive_reuses_total",
-            "Requests served on an already-used keep-alive connection.",
-        )
-        .sample(&[], self.keepalive_reuses);
-        page.counter(
-            "mcd_serve_deadline_closes_total",
-            "Connections closed by a read/idle/write deadline.",
-        )
-        .sample(&[], self.deadline_closes);
-        page.counter(
-            "mcd_serve_streams_opened_total",
-            "Chunked trace streams opened (/run?stream=1 and /watch).",
-        )
-        .sample(&[], self.streams_opened);
-        page.counter(
-            "mcd_serve_stream_events_total",
-            "Event lines fanned out to stream subscribers.",
-        )
-        .sample(&[], self.stream_events);
-        page.counter(
-            "mcd_serve_stream_frames_total",
-            "Binary .mcdt frames among the fanned-out deliveries.",
-        )
-        .sample(&[], self.stream_frames);
-        page.gauge(
-            "mcd_serve_stream_subscribers",
-            "Live stream subscriptions across all fan-out rooms.",
-        )
-        .sample(&[], self.stream_subscribers);
-        page.gauge(
-            "mcd_serve_stream_rooms",
-            "Fan-out rooms currently registered.",
-        )
-        .sample(&[], self.stream_rooms);
-        page.gauge(
-            "mcd_serve_loop_fds",
-            "File descriptors registered with the event loop.",
-        )
-        .sample(&[], self.loop_fds);
-        page.gauge(
-            "mcd_serve_loop_ready",
-            "Readiness events delivered by the last epoll_wait.",
-        )
-        .sample(&[], self.loop_ready);
+        for (row, value) in SERIES.iter().zip(self.values) {
+            match row.kind {
+                Kind::Counter => page.counter(row.name, row.help),
+                Kind::Gauge | Kind::Flag => page.gauge(row.name, row.help),
+            }
+            .sample(&[], value);
+        }
         {
             let mut family = page.histogram(
                 "mcd_serve_loop_iteration_seconds",
@@ -474,15 +400,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        page.counter("mcd_sim_runs_total", "Simulations executed.")
-            .sample(&[], self.sim.runs);
-        page.counter("mcd_sim_instructions_total", "Instructions simulated.")
-            .sample(&[], self.sim.instructions);
-        page.counter(
-            "mcd_sim_baseline_requests_total",
-            "Baseline lookups issued against the memo cache (hits and computes).",
-        )
-        .sample(&[], self.sim.baseline_requests);
 
         let a = &self.activity;
         let per_domain: [(&str, &str, &[u64; 3]); 8] = [
@@ -543,12 +460,152 @@ mod tests {
     use mcd_telemetry::prometheus::lint;
     use mcd_trace::json::{self, Value};
 
+    /// The render-time readings every snapshot in these tests passes.
+    fn readings(base: u64, draining: bool) -> Vec<(Series, u64)> {
+        Series::ALL[OWNED..]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| match s {
+                Series::Draining => (s, u64::from(draining)),
+                _ => (s, base + i as u64),
+            })
+            .collect()
+    }
+
+    /// The sample value of an unlabelled Prometheus series.
+    fn sample(page: &str, name: &str) -> Option<u64> {
+        page.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.parse().ok())
+    }
+
+    /// One fixed snapshot: every owned series, render-time reading and
+    /// simulation total distinct, a little controller activity, one
+    /// latency and loop-iteration sample each.
+    fn fixed_snapshot() -> MetricsSnapshot {
+        use Series::*;
+        let m = ServeMetrics::default();
+        let owned = [
+            (Accepted, 101),
+            (Shed, 102),
+            (Requests, 103),
+            (RunRequests, 104),
+            (CacheHits, 105),
+            (Coalesced, 106),
+            (RunsExecuted, 107),
+            (RunFailures, 108),
+            (KeepaliveReuses, 109),
+            (DeadlineCloses, 110),
+            (StreamsOpened, 111),
+            (LoopFds, 116),
+            (LoopReady, 117),
+        ];
+        for (series, value) in owned {
+            m.set(series, value);
+        }
+        let a = ControllerActivity {
+            relay_fires: [3, 5, 7],
+            reaction_count: [1, 2, 0],
+            reaction_sum_ps: [1500, 5000, 0],
+            ..ControllerActivity::default()
+        };
+        m.absorb_run(
+            RunStats {
+                runs: 201,
+                instructions: 202,
+                baseline_requests: 203,
+                ..RunStats::default()
+            },
+            &a,
+        );
+        m.record_latency(Endpoint::Run, Outcome::Miss, 700);
+        m.record_latency(Endpoint::Other, Outcome::Shed, 0);
+        m.record_loop_iteration(12);
+        m.snapshot(&[
+            (QueueDepth, 301),
+            (InFlight, 302),
+            (CacheEntries, 303),
+            (Draining, 1),
+            (StreamEvents, 112),
+            (StreamFrames, 113),
+            (StreamSubscribers, 114),
+            (StreamRooms, 115),
+        ])
+    }
+
+    #[test]
+    fn series_rows_are_indexed_by_discriminant_and_named_once() {
+        for (i, s) in Series::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i);
+        }
+        let keys: std::collections::HashSet<_> =
+            SERIES.iter().map(|r| (r.section, r.key)).collect();
+        let names: std::collections::HashSet<_> = SERIES.iter().map(|r| r.name).collect();
+        assert_eq!(keys.len(), SERIES.len(), "JSON keys are distinct");
+        assert_eq!(names.len(), SERIES.len(), "Prometheus names are distinct");
+    }
+
+    #[test]
+    fn latency_grid_is_indexed_in_label_order() {
+        for (i, e) in Endpoint::ALL.iter().enumerate() {
+            assert_eq!(*e as usize, i);
+        }
+        for (i, o) in Outcome::ALL.iter().enumerate() {
+            assert_eq!(*o as usize, i);
+        }
+    }
+
+    #[test]
+    fn json_bytes_of_a_fixed_snapshot_are_pinned() {
+        // Captured from the renderer that predates the series table.
+        let expected = r#"{
+  "service": {"accepted": 101, "shed": 102, "requests": 103, "run_requests": 104, "cache_hits": 105, "coalesced": 106, "runs_executed": 107, "run_failures": 108, "queue_depth": 301, "in_flight": 302, "cache_entries": 303, "draining": true},
+  "streaming": {"streams_opened": 111, "stream_events": 112, "stream_frames": 113, "stream_subscribers": 114, "stream_rooms": 115},
+  "event_loop": {"keepalive_reuses": 109, "deadline_closes": 110, "loop_fds": 116, "loop_ready": 117},
+  "simulation": {"runs": 201, "instructions": 202, "baseline_requests": 203},
+  "controller_activity": [
+    {"domain": "INT", "relay_arms": 0, "relay_fires": 3, "relay_resets": 0, "freq_steps_up": 0, "freq_steps_down": 0, "mean_reaction_ns": 1.500, "sync_enqueues": 0, "fmin_cycles": 0, "fmax_cycles": 0, "transition_time_ps": 0},
+    {"domain": "FP", "relay_arms": 0, "relay_fires": 5, "relay_resets": 0, "freq_steps_up": 0, "freq_steps_down": 0, "mean_reaction_ns": 2.500, "sync_enqueues": 0, "fmin_cycles": 0, "fmax_cycles": 0, "transition_time_ps": 0},
+    {"domain": "LS", "relay_arms": 0, "relay_fires": 7, "relay_resets": 0, "freq_steps_up": 0, "freq_steps_down": 0, "mean_reaction_ns": null, "sync_enqueues": 0, "fmin_cycles": 0, "fmax_cycles": 0, "transition_time_ps": 0}
+  ]
+}
+"#;
+        assert_eq!(fixed_snapshot().to_json(), expected);
+    }
+
+    #[test]
+    fn every_family_has_one_help_and_one_type_and_the_page_lints() {
+        let m = ServeMetrics::default();
+        m.record_latency(Endpoint::Run, Outcome::Hit, 250);
+        for page in [
+            fixed_snapshot().to_prometheus(),
+            m.snapshot(&[]).to_prometheus(),
+        ] {
+            lint(page.as_bytes()).unwrap_or_else(|e| panic!("lint failed: {e}\n{page}"));
+            let families: Vec<&str> = page
+                .lines()
+                .filter_map(|l| l.strip_prefix("# TYPE "))
+                .filter_map(|l| l.split(' ').next())
+                .filter(|n| n.starts_with("mcd_serve_"))
+                .collect();
+            let tables = SERIES.iter().filter(|r| r.name.starts_with("mcd_serve_"));
+            assert_eq!(families.len(), tables.count() + 2, "table + 2 histograms");
+            for family in families {
+                for header in ["# HELP", "# TYPE"] {
+                    let prefix = format!("{header} {family} ");
+                    let n = page.lines().filter(|l| l.starts_with(&prefix)).count();
+                    assert_eq!(n, 1, "{header} for {family}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn counters_land_in_the_rendered_json() {
         let m = ServeMetrics::default();
-        m.accepted.store(5, Ordering::Relaxed);
-        m.shed.store(2, Ordering::Relaxed);
-        m.runs_executed.store(3, Ordering::Relaxed);
+        m.add(Series::Accepted, 5);
+        m.add(Series::Shed, 2);
+        m.add(Series::RunsExecuted, 3);
         m.absorb_run(
             RunStats {
                 runs: 4,
@@ -558,7 +615,8 @@ mod tests {
             },
             &ControllerActivity::default(),
         );
-        let json = json::parse(&m.snapshot(7, 1, 9, false).to_json()).expect("valid JSON");
+        let snap = m.snapshot(&[(Series::QueueDepth, 7), (Series::CacheEntries, 9)]);
+        let json = json::parse(&snap.to_json()).expect("valid JSON");
         let uint = |path| json.path(path).and_then(Value::as_u64);
         assert_eq!(uint("service.accepted"), Some(5));
         assert_eq!(uint("service.shed"), Some(2));
@@ -598,7 +656,7 @@ mod tests {
             },
             &a,
         );
-        let json = json::parse(&m.snapshot(0, 0, 0, true).to_json()).expect("valid JSON");
+        let json = json::parse(&m.snapshot(&readings(0, true)).to_json()).expect("valid JSON");
         let uint = |path| json.path(path).and_then(Value::as_u64);
         assert_eq!(uint("simulation.runs"), Some(3));
         assert_eq!(uint("simulation.instructions"), Some(40));
@@ -614,7 +672,7 @@ mod tests {
     #[test]
     fn prometheus_page_lints_and_carries_latency_series() {
         let m = ServeMetrics::default();
-        m.accepted.store(4, Ordering::Relaxed);
+        m.add(Series::Accepted, 4);
         m.record_latency(Endpoint::Run, Outcome::Hit, 250);
         m.record_latency(Endpoint::Run, Outcome::Hit, 900);
         m.record_latency(Endpoint::Healthz, Outcome::Ok, 40);
@@ -630,7 +688,7 @@ mod tests {
             },
             &a,
         );
-        let page = m.snapshot(3, 1, 2, false).to_prometheus();
+        let page = m.snapshot(&readings(1, false)).to_prometheus();
         lint(page.as_bytes()).unwrap_or_else(|e| panic!("lint failed: {e}\n{page}"));
         assert!(page.contains("mcd_serve_accepted_total 4"));
         assert!(
@@ -647,16 +705,31 @@ mod tests {
     #[test]
     fn json_and_prometheus_render_the_same_snapshot() {
         let m = ServeMetrics::default();
-        m.requests.store(11, Ordering::Relaxed);
-        let snap = m.snapshot(0, 0, 0, false);
+        for &s in &Series::ALL[..OWNED] {
+            m.set(s, 1000 + s as u64);
+        }
+        let snap = m.snapshot(&readings(2000, true));
         // One more request lands after the snapshot was taken...
-        m.requests.fetch_add(1, Ordering::Relaxed);
+        m.add(Series::Requests, 1);
         // ...and both renderers still agree, because they read the cut.
         let json = json::parse(&snap.to_json()).expect("valid JSON");
-        assert_eq!(
-            json.path("service.requests").and_then(Value::as_u64),
-            Some(11)
-        );
-        assert!(snap.to_prometheus().contains("mcd_serve_requests_total 11"));
+        let page = snap.to_prometheus();
+        let mut values = Vec::new();
+        for row in &SERIES {
+            let path = format!("{}.{}", row.section, row.key);
+            let from_json = match json.path(&path) {
+                Some(&Value::Bool(b)) if row.kind == Kind::Flag => Some(u64::from(b)),
+                other => other.and_then(Value::as_u64),
+            };
+            assert!(from_json.is_some(), "{path} missing from the JSON");
+            assert_eq!(from_json, sample(&page, row.name), "{path} vs {}", row.name);
+            values.extend(from_json);
+        }
+        let requests = 1000 + Series::Requests as u64;
+        assert_eq!(sample(&page, "mcd_serve_requests_total"), Some(requests));
+        // Every value is distinct, so a row rendering another's slot shows.
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), SERIES.len());
     }
 }

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use mcd_bench::checkpoint::{code_fingerprint, CheckpointDir, CompletedRun};
 use mcd_bench::error::RunError;
 use mcd_bench::experiments;
-use mcd_bench::parallel::isolated;
+use mcd_bench::parallel::{isolated, ATTEMPTS};
 use mcd_bench::runner::{ControllerActivity, EventTap, RunConfig, RunSet, RunStats};
 use mcd_sim::trace::TraceEvent;
 use mcd_telemetry::prometheus::CONTENT_TYPE;
@@ -39,7 +39,7 @@ use mcd_trace::{encode_event_frame, encode_meta_frame};
 use crate::cache::{CachedRun, ResultCache};
 use crate::coalesce::{Coalescer, Ticket};
 use crate::http::{json_escape, Request, Response};
-use crate::metrics::{Endpoint, Outcome, ServeMetrics};
+use crate::metrics::{Endpoint, Outcome, Series, ServeMetrics};
 use crate::pool::PoolHandle;
 use crate::stream::{Broadcast, LoopMsg, LoopSender, Room};
 
@@ -130,7 +130,7 @@ impl App {
     /// to the worker pool before this is ever consulted. Records wall
     /// time and outcome into the endpoint × outcome histograms.
     pub fn handle_inline(&self, req: &Request) -> Response {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Series::Requests, 1);
         let start = Instant::now();
         let (response, outcome) = self.route(req);
         let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -194,26 +194,19 @@ impl App {
     /// `?format=json` for the JSON schema. Both render from one
     /// [`MetricsSnapshot`](crate::metrics::MetricsSnapshot).
     fn metrics_response(&self, req: &Request) -> Response {
-        // Fan-out gauges live in the broadcast registry; mirror them
-        // into the metrics atomics so one snapshot covers everything.
-        self.metrics
-            .stream_subscribers
-            .store(self.broadcast.subscribers() as u64, Ordering::Relaxed);
-        self.metrics
-            .stream_rooms
-            .store(self.broadcast.rooms() as u64, Ordering::Relaxed);
-        self.metrics
-            .stream_events
-            .store(self.broadcast.events_published(), Ordering::Relaxed);
-        self.metrics
-            .stream_frames
-            .store(self.broadcast.frames_published(), Ordering::Relaxed);
-        let snap = self.metrics.snapshot(
-            self.pool.depth(),
-            self.pool.in_flight(),
-            self.cache.len(),
-            self.is_draining(),
-        );
+        let snap = self.metrics.snapshot(&[
+            (Series::QueueDepth, self.pool.depth() as u64),
+            (Series::InFlight, self.pool.in_flight() as u64),
+            (Series::CacheEntries, self.cache.len() as u64),
+            (Series::Draining, u64::from(self.is_draining())),
+            (Series::StreamEvents, self.broadcast.events_published()),
+            (Series::StreamFrames, self.broadcast.frames_published()),
+            (
+                Series::StreamSubscribers,
+                self.broadcast.subscribers() as u64,
+            ),
+            (Series::StreamRooms, self.broadcast.rooms() as u64),
+        ]);
         if req.query_has("format", "json") {
             Response::json(200, snap.to_json())
         } else {
@@ -228,8 +221,8 @@ impl App {
     /// by construction, not by comparison.
     pub fn execute_job(&self, job: Job) {
         let Job { token, request } = job;
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        self.metrics.run_requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Series::Requests, 1);
+        self.metrics.add(Series::RunRequests, 1);
         let start = Instant::now();
         let wants_stream = request.query_has("stream", "1");
         let binary = wants_stream && request.accepts_mcdt;
@@ -274,18 +267,18 @@ impl App {
     /// docs, addressed by a precomputed fingerprint key.
     fn run_keyed(&self, id: &'static str, cfg: &RunConfig, key: &str) -> (Response, Outcome) {
         if let Some(hit) = self.cache.get(key) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(Series::CacheHits, 1);
             return (render_run(&hit), Outcome::Hit);
         }
         match self.coalescer.join(key) {
             Ticket::Follower(flight) => {
-                self.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-                // The leader gets two attempts of `run_timeout` each
-                // (`isolated` retries transient failures once); give it
-                // that plus slack before giving up on the flight.
+                self.metrics.add(Series::Coalesced, 1);
+                // The leader gets `ATTEMPTS` attempts of `run_timeout`
+                // each; give it that plus slack before giving up on the
+                // flight.
                 let budget = self
                     .run_timeout
-                    .saturating_mul(2)
+                    .saturating_mul(ATTEMPTS)
                     .saturating_add(Duration::from_secs(5));
                 match flight.wait(budget) {
                     Some(shared) => {
@@ -316,7 +309,7 @@ impl App {
                 // landing exactly at leader completion re-runs the
                 // simulation.
                 if let Some(hit) = self.cache.get(key) {
-                    self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.add(Series::CacheHits, 1);
                     let response = render_run(&hit);
                     self.coalescer.publish(key, Arc::new(response.clone()));
                     return (response, Outcome::Hit);
@@ -354,7 +347,7 @@ impl App {
     /// nobody subscribes, the tap costs one relaxed atomic load per
     /// event and the report bytes are identical either way.
     fn execute_as_leader(&self, id: &'static str, cfg: &RunConfig, key: &str) -> Response {
-        self.metrics.runs_executed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Series::RunsExecuted, 1);
         let room = self.broadcast.open(key);
         let tap: Arc<dyn EventTap> = Arc::new(RoomTap {
             broadcast: Arc::clone(&self.broadcast),
@@ -375,7 +368,7 @@ impl App {
                 response
             }
             Err(e) => {
-                self.metrics.run_failures.fetch_add(1, Ordering::Relaxed);
+                self.metrics.add(Series::RunFailures, 1);
                 error_response(&e)
             }
         }

@@ -163,3 +163,33 @@ fn a_budget_overrun_mid_simulation_stops_every_run_thread() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// A failed run is never cached, so an identical request after it
+/// executes again: two sequential `/run`s of a permanently panicking
+/// experiment are two leader executions and two failures.
+#[test]
+fn a_failed_fingerprint_executes_again_on_the_next_request() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("MCD_FAULTS", "fig8=panic");
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+
+    for _ in 0..2 {
+        let reply = run(
+            addr,
+            "{\"experiment\": \"fig8\", \"ops\": 4000, \"seed\": 12}",
+        )
+        .expect("answered");
+        assert_eq!(reply.status, 500, "a panic maps to 500: {}", reply.body);
+        assert_eq!(json_at(&reply.body, "error").as_str(), Some("panicked"));
+    }
+    std::env::remove_var("MCD_FAULTS");
+    assert_eq!(metric(addr, "service.runs_executed"), 2);
+    assert_eq!(metric(addr, "service.run_failures"), 2);
+
+    server.shutdown().expect("clean shutdown");
+}
