@@ -35,17 +35,6 @@ pub fn magnitude(sys: &SystemParams, omega: f64) -> f64 {
     num / den
 }
 
-/// `|H|` at the variation *wavelength* `lambda` (same time units as the
-/// system's delays — sampling periods for the paper's setting).
-///
-/// # Panics
-///
-/// Panics unless `lambda` is positive.
-pub fn wavelength_response(sys: &SystemParams, lambda: f64) -> f64 {
-    assert!(lambda > 0.0, "wavelength must be positive");
-    magnitude(sys, 2.0 * std::f64::consts::PI / lambda)
-}
-
 /// The −3 dB tracking bandwidth: the lowest ω at which `|H|` drops below
 /// `1/√2` and stays below (bisection after a geometric scan).
 pub fn tracking_bandwidth(sys: &SystemParams) -> f64 {
@@ -117,14 +106,6 @@ mod tests {
         };
         assert!(tracking_bandwidth(&fast) > tracking_bandwidth(&slow));
         assert!(min_trackable_wavelength(&fast) < min_trackable_wavelength(&slow));
-    }
-
-    #[test]
-    fn wavelength_and_angular_frequency_agree() {
-        let sys = SystemParams::paper_default();
-        let lambda = 40.0;
-        let omega = 2.0 * std::f64::consts::PI / lambda;
-        assert_eq!(wavelength_response(&sys, lambda), magnitude(&sys, omega));
     }
 
     #[test]

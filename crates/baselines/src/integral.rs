@@ -77,17 +77,6 @@ impl IntegralGainConfig {
         self.interval_insts = interval_insts;
         self
     }
-
-    /// Overrides the power reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p_ref` is in `(0, 1]`.
-    pub fn with_p_ref(mut self, p_ref: f64) -> Self {
-        assert!(p_ref > 0.0 && p_ref <= 1.0, "p_ref must be in (0, 1]");
-        self.p_ref = p_ref;
-        self
-    }
 }
 
 /// The adjustable-gain integral power regulator for one domain.

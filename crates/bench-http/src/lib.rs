@@ -174,8 +174,12 @@ pub fn render_record(cfg: &LoadConfig, phases: &[PhaseReport]) -> String {
     )
 }
 
-/// Linear percentile over an unsorted latency sample (nearest-rank on
-/// the sorted order). Returns 0 for an empty sample.
+/// Percentile of an unsorted latency sample by rounded index: sorts in
+/// place and returns the element at zero-based index
+/// `round(pct/100 · (n − 1))`, with no interpolation. This is not
+/// nearest-rank (rank `ceil(pct/100 · n)`): at n = 100 its p50 is the
+/// 51st value, where nearest-rank takes the 50th. Returns 0 for an
+/// empty sample.
 pub fn percentile_us(samples: &mut [u64], pct: f64) -> u64 {
     if samples.is_empty() {
         return 0;
@@ -534,7 +538,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_are_nearest_rank() {
+    fn percentiles_take_the_rounded_index() {
         let mut v: Vec<u64> = (1..=100).collect();
         // round(0.5 * 99) = 50, zero-indexed into 1..=100 → 51.
         assert_eq!(percentile_us(&mut v, 50.0), 51);

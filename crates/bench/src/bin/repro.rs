@@ -735,13 +735,21 @@ fn profile_cmd(args: &[String]) -> ExitCode {
                 format!("{:.3} s", secs.max(0.0)),
             ]);
         }
+        // A tag with no samples (fig8's one simulation is a memoized
+        // baseline) has no per-run percentiles, not zero ones.
+        let per_run = if own.wall_samples_us.is_empty() {
+            "p50 -, p99 -".to_string()
+        } else {
+            format!(
+                "p50 {:.3} s, p99 {:.3} s",
+                record.run_wall_p50_s, record.run_wall_p99_s
+            )
+        };
         if n > 0 {
             println!();
         }
         println!(
-            "{id}: {wall_s:.3} s wall, {runs} simulations (per-run p50 {:.3} s, p99 {:.3} s)\n\n{}",
-            record.run_wall_p50_s,
-            record.run_wall_p99_s,
+            "{id}: {wall_s:.3} s wall, {runs} simulations (per-run {per_run})\n\n{}",
             t.render()
         );
     }

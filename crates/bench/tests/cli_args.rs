@@ -88,3 +88,23 @@ fn profile_refuses_the_sweep_only_flags() {
         assert!(stderr.contains(message), "{flag} 0: {stderr}");
     }
 }
+
+/// An experiment whose tag has no per-run samples prints `-` for its
+/// percentiles: fig8's only simulation is a memoized baseline compute.
+#[test]
+fn profile_prints_a_dash_for_an_empty_sample_set() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["profile", "fig8", "--ops", "6000", "--jobs", "1"])
+        .output()
+        .expect("spawn repro");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("(per-run p50 -, p99 -)"),
+        "empty sample set must print '-': {stdout}"
+    );
+}

@@ -148,11 +148,6 @@ impl AdaptiveDvfsController {
     pub fn cancellations(&self) -> u64 {
         self.cancellations
     }
-
-    /// Decision events recorded since the last drain.
-    pub fn pending_events(&self) -> &[CtrlEvent] {
-        &self.events
-    }
 }
 
 impl DvfsController for AdaptiveDvfsController {

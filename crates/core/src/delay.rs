@@ -75,15 +75,6 @@ impl DelayCounter {
         self.accum = r.take_f64()?;
         Ok(())
     }
-
-    /// Effective number of samples until firing at a constant `increment`.
-    pub fn samples_to_fire(&self, increment: f64) -> f64 {
-        if increment <= 0.0 {
-            f64::INFINITY
-        } else {
-            (self.t_d0 - self.accum).max(0.0) / increment
-        }
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +122,6 @@ mod tests {
         assert_eq!(c.remaining(), 2.0);
         c.advance(5.0);
         assert_eq!(c.remaining(), 0.0);
-    }
-
-    #[test]
-    fn samples_to_fire_estimates() {
-        let c = DelayCounter::new(50.0);
-        assert_eq!(c.samples_to_fire(5.0), 10.0);
-        assert_eq!(c.samples_to_fire(0.0), f64::INFINITY);
-        let mut c = c;
-        c.advance(40.0);
-        assert_eq!(c.samples_to_fire(5.0), 2.0);
     }
 
     #[test]

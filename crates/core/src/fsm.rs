@@ -68,16 +68,6 @@ impl SignalFsm {
         }
     }
 
-    /// Whether the FSM is in its Act state (an action is being switched).
-    pub fn is_acting(&self) -> bool {
-        matches!(self.state, State::Acting { .. })
-    }
-
-    /// Whether the FSM is currently counting toward a trigger.
-    pub fn is_counting(&self) -> bool {
-        matches!(self.state, State::Counting(_))
-    }
-
     /// The direction being counted toward (`None` unless counting).
     pub fn direction(&self) -> Option<Direction> {
         match self.state {
@@ -223,7 +213,7 @@ mod tests {
         let mut fsm = SignalFsm::new(1.0, 5.0);
         // |signal| = 2, threshold 5 → fires on the 3rd sample (2+2+2 ≥ 5).
         assert_eq!(fsm.step(2.0, 1.0, at(0)), TriggerState::Idle);
-        assert!(fsm.is_counting());
+        assert!(fsm.direction().is_some());
         assert_eq!(fsm.step(2.0, 1.0, at(1)), TriggerState::Idle);
         assert_eq!(
             fsm.step(2.0, 1.0, at(2)),
@@ -236,7 +226,7 @@ mod tests {
         let mut fsm = SignalFsm::new(1.0, 4.0);
         fsm.step(2.0, 1.0, at(0));
         fsm.step(0.5, 1.0, at(1)); // back inside DW → reset
-        assert!(!fsm.is_counting());
+        assert!(fsm.direction().is_none());
         // Needs the full delay again.
         assert_eq!(fsm.step(2.0, 1.0, at(2)), TriggerState::Idle);
         assert_eq!(
@@ -297,13 +287,13 @@ mod tests {
             TriggerState::Fired(Direction::Up)
         );
         fsm.confirm(at(10));
-        assert!(fsm.is_acting());
+        assert!(matches!(fsm.state, State::Acting { .. }));
         // While acting, signals are ignored.
         assert_eq!(fsm.step(9.0, 1.0, at(5)), TriggerState::Idle);
-        assert!(fsm.is_acting());
+        assert!(matches!(fsm.state, State::Acting { .. }));
         // At T_s the FSM returns to Wait and can trigger again.
         assert_eq!(fsm.step(9.0, 1.0, at(10)), TriggerState::Idle);
-        assert!(!fsm.is_acting());
+        assert!(!matches!(fsm.state, State::Acting { .. }));
         assert_eq!(
             fsm.step(9.0, 1.0, at(11)),
             TriggerState::Fired(Direction::Up)
@@ -318,7 +308,7 @@ mod tests {
             TriggerState::Fired(Direction::Down)
         );
         fsm.cancel();
-        assert!(!fsm.is_acting() && !fsm.is_counting());
+        assert_eq!(fsm.state, State::Wait);
     }
 
     #[test]

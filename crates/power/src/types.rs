@@ -255,11 +255,6 @@ impl Energy {
         Energy(j)
     }
 
-    /// Creates an energy from nanojoules.
-    pub fn from_nj(nj: f64) -> Self {
-        Energy(nj / 1e9)
-    }
-
     /// Creates an energy from picojoules.
     pub fn from_pj(pj: f64) -> Self {
         Energy(pj / 1e12)

@@ -107,43 +107,26 @@ impl ActivityEvent {
     ];
 }
 
+/// Residual activity factor of a clock-gated idle structure: Wattch's
+/// "aggressive clock gating" residual of 10 %.
+const GATED_FRACTION: f64 = 0.10;
+
 /// Per-structure energy table, normalized at a reference (maximum) voltage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     v_ref: Voltage,
-    /// Residual activity factor of a clock-gated idle structure.
-    gated_fraction: f64,
 }
 
 impl EnergyModel {
     /// Builds the default model, normalized at `v_ref` (the curve's maximum
     /// voltage), with Wattch's "aggressive clock gating" residual of 10 %.
     pub fn new(v_ref: Voltage) -> Self {
-        EnergyModel {
-            v_ref,
-            gated_fraction: 0.10,
-        }
+        EnergyModel { v_ref }
     }
 
     /// The reference (normalization) voltage.
     pub fn reference_voltage(&self) -> Voltage {
         self.v_ref
-    }
-
-    /// Residual power fraction drawn by clock-gated idle structures.
-    pub fn gated_fraction(&self) -> f64 {
-        self.gated_fraction
-    }
-
-    /// Overrides the clock-gating residual (0 = perfect gating, 1 = none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn with_gated_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        self.gated_fraction = fraction;
-        self
     }
 
     /// Energy of one `event` at the reference voltage, in picojoules.
@@ -205,7 +188,7 @@ impl EnergyModel {
     /// structures active this cycle.
     ///
     /// With aggressive clock gating, an idle domain still burns
-    /// `gated_fraction` of its nominal clock power.
+    /// 10 % of its nominal clock power.
     ///
     /// # Panics
     ///
@@ -225,7 +208,7 @@ impl EnergyModel {
             (0.0..=1.0).contains(&utilization),
             "utilization {utilization} out of range"
         );
-        let activity = self.gated_fraction + (1.0 - self.gated_fraction) * utilization;
+        let activity = GATED_FRACTION + (1.0 - GATED_FRACTION) * utilization;
         Energy::from_pj(self.clock_pj_at_ref(class) * activity)
     }
 }
@@ -264,19 +247,6 @@ mod tests {
         assert!((busy.as_pj() - 5.0).abs() < 1e-9);
         let half = m.cycle_energy(DomainClass::Integer, 0.5, v);
         assert!(idle < half && half < busy);
-    }
-
-    #[test]
-    fn perfect_gating_zeroes_idle_cycles() {
-        let m = model().with_gated_fraction(0.0);
-        let idle = m.cycle_energy(DomainClass::FrontEnd, 0.0, Voltage::from_volts(1.2));
-        assert_eq!(idle.as_pj(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in [0,1]")]
-    fn invalid_gating_fraction_panics() {
-        let _ = model().with_gated_fraction(1.5);
     }
 
     #[test]

@@ -434,6 +434,7 @@ impl EventLoop {
                 match parse_request(&conn.inbuf) {
                     Parsed::Complete { request, consumed } => {
                         conn.inbuf.drain(..consumed);
+                        self.app.metrics.add(Series::Requests, 1);
                         conn.requests_served += 1;
                         if conn.requests_served > 1 {
                             self.app.metrics.add(Series::KeepaliveReuses, 1);
@@ -498,7 +499,6 @@ impl EventLoop {
         if request.method == "GET" && request.path.starts_with("/watch/") {
             let started = Instant::now();
             let key = request.path["/watch/".len()..].to_string();
-            self.app.metrics.add(Series::Requests, 1);
             if self.shutting_down || !self.app.watch(&key, token, request.accepts_mcdt) {
                 let resp = Response::error(
                     404,

@@ -130,7 +130,6 @@ impl App {
     /// to the worker pool before this is ever consulted. Records wall
     /// time and outcome into the endpoint × outcome histograms.
     pub fn handle_inline(&self, req: &Request) -> Response {
-        self.metrics.add(Series::Requests, 1);
         let start = Instant::now();
         let (response, outcome) = self.route(req);
         let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -221,7 +220,6 @@ impl App {
     /// by construction, not by comparison.
     pub fn execute_job(&self, job: Job) {
         let Job { token, request } = job;
-        self.metrics.add(Series::Requests, 1);
         self.metrics.add(Series::RunRequests, 1);
         let start = Instant::now();
         let wants_stream = request.query_has("stream", "1");

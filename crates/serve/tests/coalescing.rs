@@ -165,6 +165,9 @@ fn full_queue_burst_sheds_while_accepted_requests_complete() {
         metric(addr, "service.runs_executed") >= 1,
         "at least the leader executed"
     );
+    // Every /run was parsed, shed or not, and so was each of the three
+    // metric reads above and the one answering this.
+    assert_eq!(metric(addr, "service.requests"), CLIENTS as u64 + 4);
 
     server.shutdown().expect("clean shutdown");
 }

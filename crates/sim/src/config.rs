@@ -305,16 +305,6 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Queue capacity of a back-end domain's interface queue.
-    pub fn queue_capacity(&self, d: DomainId) -> usize {
-        match d {
-            DomainId::Int => self.int_queue,
-            DomainId::Fp => self.fp_queue,
-            DomainId::Ls => self.ls_queue,
-            DomainId::FrontEnd => panic!("front end has no interface queue"),
-        }
-    }
-
     /// Enables occupancy and frequency trace recording (used by the Figure
     /// 7/8 experiments).
     pub fn with_traces(mut self) -> Self {
@@ -363,14 +353,6 @@ mod tests {
     #[should_panic(expected = "not a back-end domain")]
     fn frontend_has_no_backend_index() {
         let _ = DomainId::FrontEnd.backend_index();
-    }
-
-    #[test]
-    fn queue_capacity_lookup() {
-        let c = SimConfig::default();
-        assert_eq!(c.queue_capacity(DomainId::Int), 20);
-        assert_eq!(c.queue_capacity(DomainId::Fp), 16);
-        assert_eq!(c.queue_capacity(DomainId::Ls), 16);
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl Family<'_> {
         write_sample(&mut self.page.buf, self.name, labels, &value.to_string());
         self
     }
-
-    /// Writes one float-valued series.
-    pub fn sample_f64(&mut self, labels: &[(&str, &str)], value: f64) -> &mut Self {
-        write_sample(&mut self.page.buf, self.name, labels, &fmt_value(value));
-        self
-    }
 }
 
 /// Sample writer for one histogram family.

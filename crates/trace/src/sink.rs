@@ -38,7 +38,6 @@ pub struct BinarySink {
     buf: Vec<u8>,
     runs: Vec<RunIndex>,
     events_total: u64,
-    anchors_total: u64,
     cur: Option<CurRun>,
 }
 
@@ -55,7 +54,6 @@ impl BinarySink {
             buf: MAGIC.to_vec(),
             runs: Vec::new(),
             events_total: 0,
-            anchors_total: 0,
             cur: None,
         }
     }
@@ -121,16 +119,6 @@ impl BinarySink {
         self.events_total
     }
 
-    /// Anchors recorded so far, across all runs.
-    pub fn anchors_recorded(&self) -> u64 {
-        self.anchors_total
-    }
-
-    /// Bytes framed so far (excludes the open block and the index).
-    pub fn bytes_framed(&self) -> u64 {
-        self.buf.len() as u64
-    }
-
     /// Closes the open run, appends the index block and footer, and
     /// returns the finished file bytes.
     pub fn finish(mut self) -> Vec<u8> {
@@ -185,7 +173,6 @@ impl TraceSink for BinarySink {
             offset,
             delta_base: cur.prev_t,
         });
-        self.anchors_total += 1;
     }
 }
 

@@ -28,18 +28,15 @@ pub mod adversarial;
 pub mod benchmarks;
 pub mod generator;
 pub mod mix;
-pub mod patterns;
 pub mod phase;
 pub mod registry;
 pub mod stats;
 pub mod synthetic;
-pub mod trace_io;
 pub mod uop;
 
 pub use benchmarks::{BenchmarkSpec, Suite, VariabilityClass};
 pub use generator::TraceGenerator;
 pub use mix::InstructionMix;
-pub use patterns::VariationPattern;
 pub use phase::PhaseSpec;
 pub use stats::TraceStats;
 pub use uop::{ExecDomain, MicroOp, OpClass};

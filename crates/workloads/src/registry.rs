@@ -1,6 +1,6 @@
 //! Lookup of named benchmarks (the paper's Table 2 population).
 
-use crate::benchmarks::{mediabench, specfp, specint, BenchmarkSpec, Suite, VariabilityClass};
+use crate::benchmarks::{mediabench, specfp, specint, BenchmarkSpec, VariabilityClass};
 
 /// Every benchmark in the study: 6 MediaBench, 6 SPECint2000, 5 SPECfp2000.
 pub fn all() -> Vec<BenchmarkSpec> {
@@ -8,11 +8,6 @@ pub fn all() -> Vec<BenchmarkSpec> {
     v.extend(specint::all());
     v.extend(specfp::all());
     v
-}
-
-/// Benchmarks belonging to `suite`.
-pub fn by_suite(suite: Suite) -> Vec<BenchmarkSpec> {
-    all().into_iter().filter(|b| b.suite == suite).collect()
 }
 
 /// Looks up a benchmark by its canonical name.
@@ -36,13 +31,16 @@ pub fn names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmarks::Suite;
 
     #[test]
     fn seventeen_benchmarks_total() {
-        assert_eq!(all().len(), 17);
-        assert_eq!(by_suite(Suite::MediaBench).len(), 6);
-        assert_eq!(by_suite(Suite::SpecInt2000).len(), 6);
-        assert_eq!(by_suite(Suite::SpecFp2000).len(), 5);
+        let all = all();
+        assert_eq!(all.len(), 17);
+        let in_suite = |s| all.iter().filter(|b| b.suite == s).count();
+        assert_eq!(in_suite(Suite::MediaBench), 6);
+        assert_eq!(in_suite(Suite::SpecInt2000), 6);
+        assert_eq!(in_suite(Suite::SpecFp2000), 5);
     }
 
     #[test]

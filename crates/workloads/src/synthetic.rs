@@ -42,30 +42,6 @@ pub fn square_wave(period_ops: u64, duty: f64) -> BenchmarkSpec {
     }
 }
 
-/// A single-step workload: integer code that switches to FP-heavy code
-/// once, `at_ops` instructions in (for step-response experiments on the
-/// real simulator).
-///
-/// # Panics
-///
-/// Panics if `at_ops` is zero.
-pub fn step_workload(at_ops: u64) -> BenchmarkSpec {
-    assert!(at_ops > 0, "step instant must be positive");
-    BenchmarkSpec {
-        name: "synthetic_step",
-        suite: Suite::MediaBench,
-        description: "one integer-to-FP workload step",
-        phases: vec![
-            PhaseSpec::new("before", InstructionMix::integer_kernel(), at_ops).with_dep_mean(4.0),
-            PhaseSpec::new("after", InstructionMix::fp_burst(), at_ops)
-                .with_dep_mean(8.0)
-                .with_misses(0.03, 0.2),
-        ],
-        loops: false,
-        expected_variability: VariabilityClass::Slow,
-    }
-}
-
 /// The μ–f resonance probe: one steady integer-bound phase with a fixed
 /// dependency structure, used to measure throughput against pinned
 /// operating points (the `repro resonance` experiment).
@@ -126,17 +102,6 @@ mod tests {
             square_wave(400_000, 0.5).expected_variability,
             VariabilityClass::Slow
         );
-    }
-
-    #[test]
-    fn step_workload_switches_once() {
-        let b = step_workload(5_000);
-        assert!(!b.loops);
-        let ops: Vec<_> = TraceGenerator::new(&b, 15_000, 1).collect();
-        let before = TraceStats::from_trace(&ops[..5_000]);
-        let after = TraceStats::from_trace(&ops[10_000..]);
-        assert!(before.fp_fraction() < 0.05);
-        assert!(after.fp_fraction() > 0.3, "final phase extends forever");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Trace tooling tour: export a generated trace to the text format, read
-//! it back, and analyze the queue-occupancy series with the spectral
-//! toolkit (spectrum, band variance, autocorrelation).
+//! Trace tooling tour: summarize a generated trace, simulate it, and
+//! analyze the queue-occupancy series with the spectral toolkit
+//! (spectrum, band variance, autocorrelation).
 //!
 //! ```text
 //! cargo run --release --example trace_tools
@@ -9,34 +9,25 @@
 use mcd_analysis::spectrum::{dominant_wavelength, multitaper};
 use mcd_analysis::WorkloadClassifier;
 use mcd_sim::{DomainId, Machine, SimConfig};
-use mcd_workloads::{synthetic, trace_io, TraceGenerator, TraceStats};
+use mcd_workloads::{synthetic, TraceGenerator, TraceStats};
 
 fn main() {
     // A square wave with a 30k-instruction period.
     let spec = synthetic::square_wave(30_000, 0.5);
     let ops = 240_000;
 
-    // Export / reimport through the text trace format.
     let trace: Vec<_> = TraceGenerator::new(&spec, ops, 3).collect();
-    let mut text = Vec::new();
-    trace_io::write_trace(trace.iter().copied(), &mut text).expect("write to memory");
+    let stats = TraceStats::from_trace(&trace);
     println!(
-        "exported {} ops as {} KiB of text",
+        "{} ops: fp fraction {:.3}, mem fraction {:.3}, mean dep distance {:.1}\n",
         trace.len(),
-        text.len() / 1024
-    );
-    let reloaded = trace_io::read_trace(text.as_slice()).expect("reparse own output");
-    assert_eq!(trace, reloaded);
-    let stats = TraceStats::from_trace(&reloaded);
-    println!(
-        "reimported: fp fraction {:.3}, mem fraction {:.3}, mean dep distance {:.1}\n",
         stats.fp_fraction(),
         stats.mem_fraction(),
         stats.mean_dep_distance
     );
 
     // Simulate with traces on, then analyze the FP queue's occupancy.
-    let result = Machine::new(SimConfig::default().with_traces(), reloaded.into_iter()).run();
+    let result = Machine::new(SimConfig::default().with_traces(), trace.into_iter()).run();
     let occupancy = result
         .metrics
         .occupancy_series(DomainId::Fp.backend_index());

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test --workspace -q
 
+# Every example must run to a zero exit, not just build.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --release -q --example "$name" > /dev/null
+done
+
 # Smoke: the headline experiment, serial vs parallel — the reports must
 # be byte-identical (each run is deterministic; only wall-clock changes).
 bin=target/release/repro
