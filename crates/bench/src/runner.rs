@@ -487,92 +487,128 @@ fn percentile_us(samples: &[u64], pct: f64) -> f64 {
     sorted[rank - 1] as f64 / 1e6
 }
 
-/// Controller-activity counters aggregated over every simulation a
-/// [`RunSet`] executed, per backend domain (0 = INT, 1 = FP, 2 = LS).
-///
-/// This is the run-level summary of the observability layer: how often
-/// the time-delay relays fired, how many frequency steps resulted, and —
-/// the paper's central quantity — the mean reaction time from deviation
-/// onset to the first answering frequency step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ControllerActivity {
-    /// Time-delay relay arms.
-    pub relay_arms: [u64; 3],
-    /// Time-delay relay firings.
-    pub relay_fires: [u64; 3],
-    /// Time-delay relay resets (noise filtered, flipped, cancelled or
-    /// acted).
-    pub relay_resets: [u64; 3],
-    /// Upward frequency steps issued.
-    pub freq_steps_up: [u64; 3],
-    /// Downward frequency steps issued.
-    pub freq_steps_down: [u64; 3],
-    /// Sum of deviation-onset→frequency-step reaction times, ps.
-    pub reaction_sum_ps: [u64; 3],
-    /// Reaction times accumulated.
-    pub reaction_count: [u64; 3],
-    /// Enqueues delayed past the consumer's next edge by the
-    /// synchronization window.
-    pub sync_enqueues: [u64; 3],
-    /// Local cycles settled at the minimum operating point.
-    pub fmin_cycles: [u64; 3],
-    /// Local cycles settled at the maximum operating point.
-    pub fmax_cycles: [u64; 3],
-    /// Regulator slew time, ps.
-    pub transition_time_ps: [u64; 3],
+/// One row of [`ControllerActivity::COUNTERS`]: a per-domain controller
+/// counter and the names it renders under.
+#[derive(Debug)]
+pub struct Counter {
+    /// The [`Metrics`] field the counter copies, which is also its
+    /// [`ControllerActivity`] field and its JSON key.
+    pub key: &'static str,
+    /// Prometheus family name; each domain is one `domain`-labelled
+    /// sample.
+    pub name: &'static str,
+    /// The counter's one meaning: Prometheus `# HELP` text and the
+    /// field's documentation.
+    pub help: &'static str,
+}
+
+/// Declares [`ControllerActivity`], its fold from [`Metrics`], its merge
+/// and [`ControllerActivity::COUNTERS`] from one list, so a field and its
+/// names cannot drift apart.
+macro_rules! counters {
+    ($($field:ident, $name:literal, $help:literal;)*) => {
+        /// Controller-activity counters aggregated over every simulation
+        /// a [`RunSet`] executed, per backend domain (0 = INT, 1 = FP,
+        /// 2 = LS).
+        ///
+        /// This is the run-level summary of the observability layer: how
+        /// often the time-delay relays fired, how many frequency steps
+        /// resulted, and — the paper's central quantity — the mean
+        /// reaction time from deviation onset to the first answering
+        /// frequency step. Each field's documentation is its help text.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ControllerActivity {
+            $(#[doc = $help] pub $field: [u64; 3],)*
+        }
+
+        impl ControllerActivity {
+            /// Every counter's row, in declaration order: the order both
+            /// the JSON and the Prometheus view render in.
+            pub const COUNTERS: [Counter; [$(stringify!($field)),*].len()] = [$(Counter {
+                key: stringify!($field),
+                name: $name,
+                help: $help,
+            },)*];
+
+            /// Every counter's row with its per-domain values, in
+            /// [`Self::COUNTERS`] order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static Counter, [u64; 3])> {
+                Self::COUNTERS.iter().zip([$(self.$field),*])
+            }
+
+            /// Folds another aggregate into this one (used by the service
+            /// to accumulate per-request run sets into a process-wide
+            /// total).
+            pub fn merge(&mut self, other: &ControllerActivity) {
+                $(for (total, n) in self.$field.iter_mut().zip(other.$field) {
+                    *total += n;
+                })*
+            }
+        }
+
+        impl From<&Metrics> for ControllerActivity {
+            /// One run's controller activity.
+            fn from(m: &Metrics) -> Self {
+                ControllerActivity { $($field: m.$field,)* }
+            }
+        }
+    };
+}
+
+// The reaction pair is the one counter pair the JSON view does not show
+// as is: it renders the derived `mean_reaction_ns` where the pair sits.
+counters! {
+    relay_arms, "mcd_ctrl_relay_arms_total",
+        "Time-delay relay arms.";
+    relay_fires, "mcd_ctrl_relay_fires_total",
+        "Time-delay relay firings.";
+    relay_resets, "mcd_ctrl_relay_resets_total",
+        "Time-delay relay resets.";
+    freq_steps_up, "mcd_ctrl_freq_steps_up_total",
+        "Upward frequency steps issued.";
+    freq_steps_down, "mcd_ctrl_freq_steps_down_total",
+        "Downward frequency steps issued.";
+    reaction_count, "mcd_ctrl_reactions_total",
+        "Completed deviation-onset to frequency-step episodes.";
+    reaction_sum_ps, "mcd_ctrl_reaction_time_picoseconds_total",
+        "Summed reaction time; divide by mcd_ctrl_reactions_total for the mean.";
+    sync_enqueues, "mcd_ctrl_sync_stalls_total",
+        "Enqueues delayed by the synchronization window.";
+    fmin_cycles, "mcd_ctrl_fmin_cycles_total",
+        "Local cycles settled at the minimum operating point.";
+    fmax_cycles, "mcd_ctrl_fmax_cycles_total",
+        "Local cycles settled at the maximum operating point.";
+    transition_time_ps, "mcd_ctrl_transition_time_picoseconds_total",
+        "Regulator slew time between operating points.";
 }
 
 impl ControllerActivity {
     /// Backend-domain display names, indexed like the counter arrays.
     pub const DOMAINS: [&'static str; 3] = ["INT", "FP", "LS"];
 
-    /// Folds another aggregate into this one (used by the service to
-    /// accumulate per-request run sets into a process-wide total).
-    pub fn merge(&mut self, other: &ControllerActivity) {
-        for i in 0..3 {
-            self.relay_arms[i] += other.relay_arms[i];
-            self.relay_fires[i] += other.relay_fires[i];
-            self.relay_resets[i] += other.relay_resets[i];
-            self.freq_steps_up[i] += other.freq_steps_up[i];
-            self.freq_steps_down[i] += other.freq_steps_down[i];
-            self.reaction_sum_ps[i] += other.reaction_sum_ps[i];
-            self.reaction_count[i] += other.reaction_count[i];
-            self.sync_enqueues[i] += other.sync_enqueues[i];
-            self.fmin_cycles[i] += other.fmin_cycles[i];
-            self.fmax_cycles[i] += other.fmax_cycles[i];
-            self.transition_time_ps[i] += other.transition_time_ps[i];
-        }
-    }
-
     /// Renders the per-domain counters as a JSON array, one object per
     /// backend domain — the shape embedded in `--bench-out` records and
-    /// in the service's `/metrics` response.
+    /// in the service's `/metrics` response. Keys follow
+    /// [`Self::COUNTERS`], except that the reaction pair renders as
+    /// `mean_reaction_ns`.
     pub fn to_json(&self) -> String {
-        fn opt(x: Option<f64>) -> String {
-            match x {
-                Some(v) if v.is_finite() => format!("{v:.3}"),
-                _ => "null".to_string(),
-            }
-        }
-        let per_domain: Vec<String> = (0..3)
-            .map(|i| {
-                format!(
-                    "    {{\"domain\": \"{}\", \"relay_arms\": {}, \"relay_fires\": {}, \
-                     \"relay_resets\": {}, \"freq_steps_up\": {}, \"freq_steps_down\": {}, \
-                     \"mean_reaction_ns\": {}, \"sync_enqueues\": {}, \"fmin_cycles\": {}, \
-                     \"fmax_cycles\": {}, \"transition_time_ps\": {}}}",
-                    Self::DOMAINS[i],
-                    self.relay_arms[i],
-                    self.relay_fires[i],
-                    self.relay_resets[i],
-                    self.freq_steps_up[i],
-                    self.freq_steps_down[i],
-                    opt(self.mean_reaction_time_ns(i)),
-                    self.sync_enqueues[i],
-                    self.fmin_cycles[i],
-                    self.fmax_cycles[i],
-                    self.transition_time_ps[i],
-                )
+        let per_domain: Vec<String> = (Self::DOMAINS.iter().enumerate())
+            .map(|(i, domain)| {
+                let mut fields = vec![format!("\"domain\": \"{domain}\"")];
+                for (counter, values) in self.counters() {
+                    match counter.key {
+                        "reaction_count" => {
+                            let mean = match self.mean_reaction_time_ns(i) {
+                                Some(ns) if ns.is_finite() => format!("{ns:.3}"),
+                                _ => "null".to_string(),
+                            };
+                            fields.push(format!("\"mean_reaction_ns\": {mean}"));
+                        }
+                        "reaction_sum_ps" => {}
+                        key => fields.push(format!("\"{key}\": {}", values[i])),
+                    }
+                }
+                format!("    {{{}}}", fields.join(", "))
             })
             .collect();
         format!("[\n{}\n  ]", per_domain.join(",\n"))
@@ -599,30 +635,11 @@ impl ControllerActivity {
     }
 }
 
-impl From<&Metrics> for ControllerActivity {
-    /// One run's controller activity.
-    fn from(m: &Metrics) -> Self {
-        ControllerActivity {
-            relay_arms: m.relay_arms,
-            relay_fires: m.relay_fires,
-            relay_resets: m.relay_resets,
-            freq_steps_up: m.freq_steps_up,
-            freq_steps_down: m.freq_steps_down,
-            reaction_sum_ps: m.reaction_sum_ps,
-            reaction_count: m.reaction_count,
-            sync_enqueues: m.sync_enqueues,
-            fmin_cycles: m.fmin_cycles,
-            fmax_cycles: m.fmax_cycles,
-            transition_time_ps: m.transition_time_ps,
-        }
-    }
-}
-
 /// One executed simulation's event stream, tagged with its run label.
 pub type LabeledTrace = (String, Vec<TraceEvent>);
 
 /// The flight recorder's in-memory sink: collects the event stream like a
-/// [`VecSink`] *and* captures the shard-boundary snapshots
+/// [`mcd_sim::trace::VecSink`] *and* captures the shard-boundary snapshots
 /// [`run_sharded`] offers through [`TraceSink::record_anchor`], each
 /// pinned to its position in the event stream — the raw material for a
 /// seekable `.mcdt` recording.
@@ -1254,6 +1271,16 @@ mod tests {
             assert!(Scheme::BAKEOFF.contains(&scheme), "{scheme:?}");
         }
         assert!(controller_for(Scheme::Baseline, DomainId::Int, &cfg).is_none());
+    }
+
+    #[test]
+    fn mean_reaction_time_requires_reactions() {
+        let mut a = ControllerActivity::default();
+        assert_eq!(a.mean_reaction_time_ns(0), None);
+        a.reaction_sum_ps = [24_000, 0, 0];
+        a.reaction_count = [3, 0, 0];
+        assert_eq!(a.mean_reaction_time_ns(0), Some(8.0));
+        assert_eq!(a.mean_reaction_time_ns(1), None);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! and type, and its one help text, which is also its documentation.
 //! That list generates [`Series`] and the table both renderers walk, so
 //! a series cannot appear in one view and not the other, or mean two
-//! things.
+//! things. The per-domain controller counters are declared the same
+//! way, in mcd-bench's `counters!` list, and both views walk
+//! [`ControllerActivity::COUNTERS`].
 //!
 //! Rendering goes through one [`MetricsSnapshot`]: every series is
 //! loaded exactly once per request, and both the JSON and the Prometheus
@@ -401,53 +403,10 @@ impl MetricsSnapshot {
             }
         }
 
-        let a = &self.activity;
-        let per_domain: [(&str, &str, &[u64; 3]); 8] = [
-            (
-                "mcd_ctrl_relay_arms_total",
-                "Time-delay relay arms.",
-                &a.relay_arms,
-            ),
-            (
-                "mcd_ctrl_relay_fires_total",
-                "Time-delay relay firings.",
-                &a.relay_fires,
-            ),
-            (
-                "mcd_ctrl_relay_resets_total",
-                "Time-delay relay resets.",
-                &a.relay_resets,
-            ),
-            (
-                "mcd_ctrl_freq_steps_up_total",
-                "Upward frequency steps issued.",
-                &a.freq_steps_up,
-            ),
-            (
-                "mcd_ctrl_freq_steps_down_total",
-                "Downward frequency steps issued.",
-                &a.freq_steps_down,
-            ),
-            (
-                "mcd_ctrl_reactions_total",
-                "Completed deviation-onset to frequency-step episodes.",
-                &a.reaction_count,
-            ),
-            (
-                "mcd_ctrl_reaction_time_picoseconds_total",
-                "Summed reaction time; divide by mcd_ctrl_reactions_total for the mean.",
-                &a.reaction_sum_ps,
-            ),
-            (
-                "mcd_ctrl_sync_stalls_total",
-                "Enqueues delayed by the synchronization window.",
-                &a.sync_enqueues,
-            ),
-        ];
-        for (name, help, values) in per_domain {
-            let mut family = page.counter(name, help);
-            for (i, domain) in ControllerActivity::DOMAINS.iter().enumerate() {
-                family.sample(&[("domain", domain)], values[i]);
+        for (counter, values) in self.activity.counters() {
+            let mut family = page.counter(counter.name, counter.help);
+            for (domain, value) in ControllerActivity::DOMAINS.iter().zip(values) {
+                family.sample(&[("domain", domain)], value);
             }
         }
         page.finish()
@@ -573,6 +532,124 @@ mod tests {
         assert_eq!(fixed_snapshot().to_json(), expected);
     }
 
+    /// A controller aggregate whose 33 values (11 counters x 3 domains)
+    /// are all different, so a counter rendered in another's slot shows.
+    fn distinct_activity() -> ControllerActivity {
+        ControllerActivity {
+            relay_arms: [11, 12, 13],
+            relay_fires: [21, 22, 23],
+            relay_resets: [31, 32, 33],
+            freq_steps_up: [41, 42, 43],
+            freq_steps_down: [51, 52, 53],
+            reaction_sum_ps: [61_001, 62_002, 63_003],
+            reaction_count: [71, 72, 73],
+            sync_enqueues: [81, 82, 83],
+            fmin_cycles: [91, 92, 93],
+            fmax_cycles: [101, 102, 103],
+            transition_time_ps: [111, 112, 113],
+        }
+    }
+
+    #[test]
+    fn every_controller_counter_renders_pinned_bytes() {
+        let a = distinct_activity();
+        let json = r#"[
+    {"domain": "INT", "relay_arms": 11, "relay_fires": 21, "relay_resets": 31, "freq_steps_up": 41, "freq_steps_down": 51, "mean_reaction_ns": 0.859, "sync_enqueues": 81, "fmin_cycles": 91, "fmax_cycles": 101, "transition_time_ps": 111},
+    {"domain": "FP", "relay_arms": 12, "relay_fires": 22, "relay_resets": 32, "freq_steps_up": 42, "freq_steps_down": 52, "mean_reaction_ns": 0.861, "sync_enqueues": 82, "fmin_cycles": 92, "fmax_cycles": 102, "transition_time_ps": 112},
+    {"domain": "LS", "relay_arms": 13, "relay_fires": 23, "relay_resets": 33, "freq_steps_up": 43, "freq_steps_down": 53, "mean_reaction_ns": 0.863, "sync_enqueues": 83, "fmin_cycles": 93, "fmax_cycles": 103, "transition_time_ps": 113}
+  ]"#;
+        assert_eq!(a.to_json(), json);
+
+        // The eight families the page carried before every counter got
+        // one; the lines of families added since are left out here.
+        let added = [
+            "mcd_ctrl_fmin_cycles_total",
+            "mcd_ctrl_fmax_cycles_total",
+            "mcd_ctrl_transition_time_picoseconds_total",
+        ];
+        let m = ServeMetrics::default();
+        m.absorb_run(RunStats::default(), &a);
+        let page = m.snapshot(&[]).to_prometheus();
+        let family = |line: &str| {
+            let rest = (line
+                .strip_prefix("# HELP ")
+                .or(line.strip_prefix("# TYPE ")))
+            .unwrap_or(line);
+            rest.split([' ', '{']).next().unwrap_or("").to_string()
+        };
+        let ctrl: Vec<&str> = page
+            .lines()
+            .filter(|l| family(l).starts_with("mcd_ctrl_") && !added.contains(&family(l).as_str()))
+            .collect();
+        let prometheus = r#"# HELP mcd_ctrl_relay_arms_total Time-delay relay arms.
+# TYPE mcd_ctrl_relay_arms_total counter
+mcd_ctrl_relay_arms_total{domain="INT"} 11
+mcd_ctrl_relay_arms_total{domain="FP"} 12
+mcd_ctrl_relay_arms_total{domain="LS"} 13
+# HELP mcd_ctrl_relay_fires_total Time-delay relay firings.
+# TYPE mcd_ctrl_relay_fires_total counter
+mcd_ctrl_relay_fires_total{domain="INT"} 21
+mcd_ctrl_relay_fires_total{domain="FP"} 22
+mcd_ctrl_relay_fires_total{domain="LS"} 23
+# HELP mcd_ctrl_relay_resets_total Time-delay relay resets.
+# TYPE mcd_ctrl_relay_resets_total counter
+mcd_ctrl_relay_resets_total{domain="INT"} 31
+mcd_ctrl_relay_resets_total{domain="FP"} 32
+mcd_ctrl_relay_resets_total{domain="LS"} 33
+# HELP mcd_ctrl_freq_steps_up_total Upward frequency steps issued.
+# TYPE mcd_ctrl_freq_steps_up_total counter
+mcd_ctrl_freq_steps_up_total{domain="INT"} 41
+mcd_ctrl_freq_steps_up_total{domain="FP"} 42
+mcd_ctrl_freq_steps_up_total{domain="LS"} 43
+# HELP mcd_ctrl_freq_steps_down_total Downward frequency steps issued.
+# TYPE mcd_ctrl_freq_steps_down_total counter
+mcd_ctrl_freq_steps_down_total{domain="INT"} 51
+mcd_ctrl_freq_steps_down_total{domain="FP"} 52
+mcd_ctrl_freq_steps_down_total{domain="LS"} 53
+# HELP mcd_ctrl_reactions_total Completed deviation-onset to frequency-step episodes.
+# TYPE mcd_ctrl_reactions_total counter
+mcd_ctrl_reactions_total{domain="INT"} 71
+mcd_ctrl_reactions_total{domain="FP"} 72
+mcd_ctrl_reactions_total{domain="LS"} 73
+# HELP mcd_ctrl_reaction_time_picoseconds_total Summed reaction time; divide by mcd_ctrl_reactions_total for the mean.
+# TYPE mcd_ctrl_reaction_time_picoseconds_total counter
+mcd_ctrl_reaction_time_picoseconds_total{domain="INT"} 61001
+mcd_ctrl_reaction_time_picoseconds_total{domain="FP"} 62002
+mcd_ctrl_reaction_time_picoseconds_total{domain="LS"} 63003
+# HELP mcd_ctrl_sync_stalls_total Enqueues delayed by the synchronization window.
+# TYPE mcd_ctrl_sync_stalls_total counter
+mcd_ctrl_sync_stalls_total{domain="INT"} 81
+mcd_ctrl_sync_stalls_total{domain="FP"} 82
+mcd_ctrl_sync_stalls_total{domain="LS"} 83"#;
+        assert_eq!(ctrl.join("\n"), prometheus);
+    }
+
+    #[test]
+    fn the_three_families_added_to_the_page_render_pinned_bytes() {
+        let m = ServeMetrics::default();
+        m.absorb_run(RunStats::default(), &distinct_activity());
+        let page = m.snapshot(&[]).to_prometheus();
+        let added: Vec<&str> = (page.lines())
+            .skip_while(|l| !l.contains("mcd_ctrl_fmin_cycles_total"))
+            .collect();
+        let expected = r#"# HELP mcd_ctrl_fmin_cycles_total Local cycles settled at the minimum operating point.
+# TYPE mcd_ctrl_fmin_cycles_total counter
+mcd_ctrl_fmin_cycles_total{domain="INT"} 91
+mcd_ctrl_fmin_cycles_total{domain="FP"} 92
+mcd_ctrl_fmin_cycles_total{domain="LS"} 93
+# HELP mcd_ctrl_fmax_cycles_total Local cycles settled at the maximum operating point.
+# TYPE mcd_ctrl_fmax_cycles_total counter
+mcd_ctrl_fmax_cycles_total{domain="INT"} 101
+mcd_ctrl_fmax_cycles_total{domain="FP"} 102
+mcd_ctrl_fmax_cycles_total{domain="LS"} 103
+# HELP mcd_ctrl_transition_time_picoseconds_total Regulator slew time between operating points.
+# TYPE mcd_ctrl_transition_time_picoseconds_total counter
+mcd_ctrl_transition_time_picoseconds_total{domain="INT"} 111
+mcd_ctrl_transition_time_picoseconds_total{domain="FP"} 112
+mcd_ctrl_transition_time_picoseconds_total{domain="LS"} 113"#;
+        assert_eq!(added.join("\n"), expected);
+    }
+
     #[test]
     fn every_family_has_one_help_and_one_type_and_the_page_lints() {
         let m = ServeMetrics::default();
@@ -582,15 +659,24 @@ mod tests {
             m.snapshot(&[]).to_prometheus(),
         ] {
             lint(page.as_bytes()).unwrap_or_else(|e| panic!("lint failed: {e}\n{page}"));
-            let families: Vec<&str> = page
-                .lines()
-                .filter_map(|l| l.strip_prefix("# TYPE "))
-                .filter_map(|l| l.split(' ').next())
-                .filter(|n| n.starts_with("mcd_serve_"))
-                .collect();
+            let families = |prefix: &str| -> Vec<String> {
+                (page.lines())
+                    .filter_map(|l| l.strip_prefix("# TYPE "))
+                    .filter_map(|l| l.split(' ').next())
+                    .filter(|n| n.starts_with(prefix))
+                    .map(str::to_string)
+                    .collect()
+            };
+            let serve = families("mcd_serve_");
             let tables = SERIES.iter().filter(|r| r.name.starts_with("mcd_serve_"));
-            assert_eq!(families.len(), tables.count() + 2, "table + 2 histograms");
-            for family in families {
+            assert_eq!(serve.len(), tables.count() + 2, "table + 2 histograms");
+            let ctrl = families("mcd_ctrl_");
+            let counters = ControllerActivity::COUNTERS.iter().map(|c| c.name);
+            assert!(
+                ctrl.iter().eq(counters),
+                "one family per controller counter"
+            );
+            for family in serve.into_iter().chain(ctrl) {
                 for header in ["# HELP", "# TYPE"] {
                     let prefix = format!("{header} {family} ");
                     let n = page.lines().filter(|l| l.starts_with(&prefix)).count();
@@ -708,9 +794,11 @@ mod tests {
         for &s in &Series::ALL[..OWNED] {
             m.set(s, 1000 + s as u64);
         }
+        m.absorb_run(RunStats::default(), &distinct_activity());
         let snap = m.snapshot(&readings(2000, true));
         // One more request lands after the snapshot was taken...
         m.add(Series::Requests, 1);
+        m.absorb_run(RunStats::default(), &distinct_activity());
         // ...and both renderers still agree, because they read the cut.
         let json = json::parse(&snap.to_json()).expect("valid JSON");
         let page = snap.to_prometheus();
@@ -731,5 +819,36 @@ mod tests {
         values.sort_unstable();
         values.dedup();
         assert_eq!(values.len(), SERIES.len());
+
+        // Every controller counter, per domain; the reaction pair shows
+        // in JSON only as its mean, so it is checked through sum and count.
+        for (i, domain) in ControllerActivity::DOMAINS.iter().enumerate() {
+            let from_page = |name: &str| sample(&page, &format!("{name}{{domain=\"{domain}\"}}"));
+            let from_json = |key: &str| json.path(&format!("controller_activity.{i}.{key}"));
+            assert_eq!(from_json("domain").and_then(Value::as_str), Some(*domain));
+            let mut pair = [0; 2];
+            for counter in &ControllerActivity::COUNTERS {
+                let sampled = from_page(counter.name);
+                assert!(sampled.is_some(), "{} missing from the page", counter.name);
+                match counter.key {
+                    "reaction_sum_ps" => pair[0] = sampled.unwrap(),
+                    "reaction_count" => pair[1] = sampled.unwrap(),
+                    key => assert_eq!(
+                        from_json(key).and_then(Value::as_u64),
+                        sampled,
+                        "{domain} {key} vs {}",
+                        counter.name
+                    ),
+                }
+            }
+            let [sum_ps, count] = pair;
+            let mean = format!("{:.3}", sum_ps as f64 / count as f64 / 1000.0);
+            let shown = from_json("mean_reaction_ns").and_then(Value::as_f64);
+            assert_eq!(
+                shown.map(|ns| format!("{ns:.3}")),
+                Some(mean),
+                "{domain} mean"
+            );
+        }
     }
 }

@@ -19,9 +19,9 @@
 //! ordering is by construction, not by locking discipline.
 //!
 //! When nobody subscribes to a room, the tap's per-event check is a
-//! single relaxed atomic load ([`Room::sub_count`] via
-//! [`Broadcast::room_is_watched`]), preserving the zero-cost NullSink
-//! path end to end.
+//! single relaxed atomic load of the room's subscriber count
+//! ([`Room::is_watched`]), preserving the zero-cost NullSink path end to
+//! end.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;

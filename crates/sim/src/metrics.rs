@@ -241,22 +241,6 @@ impl Metrics {
     pub fn occupancy_series(&self, idx: usize) -> Vec<f64> {
         self.occupancy[idx].iter().map(|&q| q as f64).collect()
     }
-
-    /// Mean reaction time of backend domain `idx` — deviation-window
-    /// onset to the frequency step that answered it — in nanoseconds, or
-    /// `None` if the domain's controller never completed a reaction.
-    pub fn mean_reaction_time_ns(&self, idx: usize) -> Option<f64> {
-        if self.reaction_count[idx] == 0 {
-            None
-        } else {
-            Some(self.reaction_sum_ps[idx] as f64 / self.reaction_count[idx] as f64 / 1000.0)
-        }
-    }
-
-    /// Total frequency steps (both directions) of backend domain `idx`.
-    pub fn freq_steps(&self, idx: usize) -> u64 {
-        self.freq_steps_up[idx] + self.freq_steps_down[idx]
-    }
 }
 
 #[cfg(test)]
@@ -298,28 +282,6 @@ mod tests {
             ..Metrics::default()
         };
         assert_eq!(m.total_dispatch_stalls(), 21);
-    }
-
-    #[test]
-    fn mean_reaction_time_requires_reactions() {
-        let mut m = Metrics::default();
-        assert_eq!(m.mean_reaction_time_ns(0), None);
-        m.reaction_sum_ps = [24_000, 0, 0];
-        m.reaction_count = [3, 0, 0];
-        assert_eq!(m.mean_reaction_time_ns(0), Some(8.0));
-        assert_eq!(m.mean_reaction_time_ns(1), None);
-    }
-
-    #[test]
-    fn freq_steps_sum_both_directions() {
-        let m = Metrics {
-            freq_steps_up: [2, 0, 1],
-            freq_steps_down: [3, 0, 0],
-            ..Metrics::default()
-        };
-        assert_eq!(m.freq_steps(0), 5);
-        assert_eq!(m.freq_steps(1), 0);
-        assert_eq!(m.freq_steps(2), 1);
     }
 
     #[test]

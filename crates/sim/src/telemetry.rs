@@ -1,8 +1,9 @@
 //! Distribution telemetry over the trace-event stream.
 //!
-//! The always-on [`Metrics`](crate::metrics::Metrics) counters surface
-//! only per-domain *means* (e.g. `mean_reaction_time_ns`). This module
-//! adds distributions without touching the engine's hot path: a
+//! The always-on [`Metrics`](crate::metrics::Metrics) counters hold only
+//! per-domain *totals* (e.g. `reaction_sum_ps` and `reaction_count`,
+//! whose ratio is the mean reaction time). This module adds
+//! distributions without touching the engine's hot path: a
 //! [`TelemetrySink`] sits behind the existing [`TraceSink`] seam, runs
 //! the events the engine already emits through the engine's own
 //! [`OnsetTracker`], and folds every reaction time and queue-occupancy

@@ -82,7 +82,7 @@ static CRC_TABLES: [[u32; 256]; SLICE] = slice_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected, init and xorout `!0`), the
 /// integrity check on every block. Sixteen bytes per step through
-/// [`CRC_TABLES`], then the tail a byte at a time; the value is that of
+/// `CRC_TABLES`, then the tail a byte at a time; the value is that of
 /// the plain byte-at-a-time loop for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;

@@ -13,6 +13,10 @@ workload actually changed:
   * per-experiment runs, instructions, baseline_requests, kind,
     events_processed and cycles_skipped
   * analysis-kind experiments must report zero runs
+  * every field of each domain's controller_activity object (relay
+    arms/fires/resets, frequency steps, sync stalls, f_min/f_max cycles,
+    slew time, and mean_reaction_ns, which is printed from exact integer
+    sums and counts)
 
 Wall-clock is compared within a generous tolerance (CI machines vary
 wildly); the default allows the fresh run to take up to WALL_TOLERANCE
@@ -137,6 +141,38 @@ def load(path):
 
 def missing_fields(record, fields):
     return [k for k in fields if k not in record]
+
+
+def gate_controller_activity(ref, fresh):
+    """Exact per-domain comparison of the controller counters; returns
+    error strings."""
+    blocks = [rec.get("controller_activity") for rec in (ref, fresh)]
+    errors = [
+        f"{label} record has no controller_activity list — old-schema "
+        f"record; re-baseline it (repro all --quick --bench-out)"
+        for label, block in zip(("reference", "fresh"), blocks)
+        if not isinstance(block, list)
+    ]
+    if errors:
+        return errors
+    ref_domains, fresh_domains = blocks
+    if len(ref_domains) != len(fresh_domains):
+        return [
+            f"controller_activity: reference has {len(ref_domains)} domains, "
+            f"fresh has {len(fresh_domains)}"
+        ]
+    for r, f in zip(ref_domains, fresh_domains):
+        domain = r.get("domain")
+        for key in sorted(set(r) | set(f)):
+            if key not in r or key not in f:
+                side = "fresh" if key in r else "reference"
+                errors.append(f"controller_activity.{domain}.{key}: missing from {side}")
+            elif r[key] != f[key]:
+                errors.append(
+                    f"controller_activity.{domain}.{key}: reference "
+                    f"{r[key]!r} != fresh {f[key]!r}"
+                )
+    return errors
 
 
 def gate_http(ref, fresh):
@@ -295,6 +331,8 @@ def main():
                 f"{label} trace_recorder fields {bad} must be "
                 f"non-negative numbers"
             )
+
+    errors += gate_controller_activity(ref, fresh)
 
     ref_exps = {e["experiment"]: e for e in ref["experiments"]}
     fresh_exps = {e["experiment"]: e for e in fresh["experiments"]}
